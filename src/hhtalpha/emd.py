@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .signal import Signal
 
@@ -67,37 +67,71 @@ class ImfSet:
         return out
 
 
-def find_extrema(signal: Signal):
-    """Locate strict local maxima and minima.
+def find_extrema(x: np.ndarray):
+    """Locate strict local maxima and minima of a 1-D array.
 
     Returns ((max_idx, max_val), (min_idx, min_val)).  A flat plateau
     contributes the floor-midpoint of its index range once; endpoints are
     never extrema.
     """
-    x = signal.samples
-    if len(x) < 3:
-        return (np.array([], int), np.array([])), (np.array([], int), np.array([]))
-    change = np.flatnonzero(np.diff(x) != 0)
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [len(x) - 1]))
-    v = x[starts]
-    if len(v) < 3:
-        return (np.array([], int), np.array([])), (np.array([], int), np.array([]))
-    mid = v[1:-1]
-    is_max = (mid > v[:-2]) & (mid > v[2:])
-    is_min = (mid < v[:-2]) & (mid < v[2:])
-    mid_idx = (starts[1:-1] + ends[1:-1]) // 2
-    return (
-        (mid_idx[is_max], mid[is_max]),
-        (mid_idx[is_min], mid[is_min]),
-    )
+    # float steps, so an unsigned input cannot wrap round in the difference
+    x = np.asarray(x, dtype=np.float64)
+    d = np.diff(x)
+    # equal neighbours form a plateau; only the steps between plateaus count
+    change = np.flatnonzero(d)
+    rising = d[change] > 0
+    falling = ~rising
+    # plateau j spans change[j] + 1 .. change[j + 1]
+    mid = (change[:-1] + change[1:] + 1) // 2
+    max_idx = mid[rising[:-1] & falling[1:]]
+    min_idx = mid[falling[:-1] & rising[1:]]
+    return (max_idx, x[max_idx]), (min_idx, x[min_idx])
+
+
+def _natural_spline(t: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
+    """Natural cubic spline through (t, y), evaluated at 0..length-1.
+
+    The second derivatives come from one tridiagonal solve; each segment's
+    cubic is then repeated over the grid points it covers.
+    """
+    h = np.diff(t)
+    if np.any(h <= 0):
+        raise ValueError("envelope indices must be strictly increasing")
+    slope = np.diff(y) / h
+    # second derivatives; the natural end conditions keep m[0] = m[-1] = 0
+    m = np.zeros(len(t))
+    if len(t) > 2:
+        bands = np.empty((3, len(t) - 2))
+        bands[0, 1:] = h[1:-1]
+        bands[1] = 2.0 * (h[:-1] + h[1:])
+        bands[2, :-1] = h[1:-1]
+        m[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(slope),
+                               overwrite_ab=True, overwrite_b=True, check_finite=False)
+    coef = np.empty((5, len(h)))
+    coef[0] = (m[1:] - m[:-1]) / (6.0 * h)
+    coef[1] = 0.5 * m[:-1]
+    coef[2] = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    coef[3] = y[:-1]
+    coef[4] = t[:-1]
+    # grid point k lies on segment i when ceil(t[i]) <= k < ceil(t[i + 1]);
+    # the end segments reach out to the ends of the grid
+    edges = np.clip(np.ceil(t), 0, length).astype(np.intp)
+    edges[0], edges[-1] = 0, length
+    cubic, quad, lin, const, start = np.repeat(coef, np.diff(edges), axis=1)
+    dx = np.arange(length) - start
+    return ((cubic * dx + quad) * dx + lin) * dx + const
 
 
 def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> np.ndarray:
     """Natural cubic spline through extrema, with mirrored boundary points.
 
     Up to `pad` extrema are reflected beyond each end of [0, length) before
-    fitting, to tame end swings.
+    fitting, to tame end swings.  The spline is evaluated on the integer grid
+    0..length-1.  Grid points outside the knot range follow the polynomial of
+    the nearest end segment (extrapolation, as CubicSpline's default).
+
+    Raises ValueError for fewer than 2 knots after mirroring, non-finite
+    indices or values, or indices that are not strictly increasing.
     """
     indices = np.asarray(indices, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -114,12 +148,13 @@ def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> 
         values = values[keep]
     if len(indices) < 2:
         raise ValueError("need at least 2 envelope points after mirroring")
-    spline = CubicSpline(indices, values, bc_type="natural")
-    return spline(np.arange(length))
+    if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(values))):
+        raise ValueError("envelope points must be finite")
+    return _natural_spline(indices, values, length)
 
 
 def _mean_envelope(x: np.ndarray, pad: int):
-    (max_i, max_v), (min_i, min_v) = find_extrema(Signal(x, 1))
+    (max_i, max_v), (min_i, min_v) = find_extrema(x)
     if len(max_i) < 2 or len(min_i) < 2:
         return None
     upper = envelope(max_i, max_v, len(x), pad)
@@ -127,16 +162,19 @@ def _mean_envelope(x: np.ndarray, pad: int):
     return 0.5 * (upper + lower)
 
 
-def sift(signal: Signal, cfg: EmdConfig) -> Signal:
+def sift(x: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
     """Extract one oscillatory mode by repeated mean-envelope subtraction.
 
     Stops when SD = sum((h_prev - h)**2) / sum(h_prev**2) drops below
-    cfg.sift_sd_threshold or cfg.max_sift_iters is reached.
+    cfg.sift_sd_threshold or cfg.max_sift_iters is reached.  Returns None
+    when x has fewer than 2 maxima or 2 minima, so no mode can be extracted.
     """
-    h = signal.samples.copy()
-    for _ in range(cfg.max_sift_iters):
+    h = np.array(x, dtype=np.float64)
+    for i in range(cfg.max_sift_iters):
         mean = _mean_envelope(h, cfg.boundary_pad_extrema)
         if mean is None:
+            if i == 0:
+                return None
             break
         denom = np.sum(h * h)
         if denom == 0.0:
@@ -145,7 +183,7 @@ def sift(signal: Signal, cfg: EmdConfig) -> Signal:
         h = h - mean
         if sd < cfg.sift_sd_threshold:
             break
-    return Signal(h, signal.sample_rate)
+    return h
 
 
 def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
@@ -160,12 +198,11 @@ def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     residual = signal.samples.copy()
     modes = []
     for _ in range(cfg.max_modes):
-        (max_i, _), (min_i, _) = find_extrema(Signal(residual, signal.sample_rate))
-        if len(max_i) < 2 or len(min_i) < 2:
+        imf = sift(residual, cfg)
+        if imf is None:
             break
-        imf = sift(Signal(residual, signal.sample_rate), cfg)
-        modes.append(imf)
-        residual = residual - imf.samples
+        modes.append(Signal(imf, signal.sample_rate))
+        residual = residual - imf
     return ImfSet(tuple(modes), Signal(residual, signal.sample_rate))
 
 
@@ -190,11 +227,8 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     acc = np.zeros((cfg.emd.max_modes, len(x)))
     produced = 0
     for n in range(cfg.ensemble_size):
-        if noise_std > 0.0:
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
-            trial = x + noise_std * rng.standard_normal(len(x))
-        else:
-            trial = x
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
+        trial = x + noise_std * rng.standard_normal(len(x))
         imfs = emd(Signal(trial, signal.sample_rate), cfg.emd)
         produced = max(produced, imfs.mode_count)
         for m, mode in enumerate(imfs.modes):

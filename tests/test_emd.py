@@ -1,8 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from hhtalpha import EemdConfig, EmdConfig, Signal, eemd, emd, sift
 from hhtalpha.emd import envelope, find_extrema
+
+# the package re-exports the function `emd`, which shadows the submodule name
+emd_module = importlib.import_module("hhtalpha.emd")
 
 
 def tone(freq, rate=8000, dur=1.0):
@@ -10,30 +16,62 @@ def tone(freq, rate=8000, dur=1.0):
     return np.sin(2 * np.pi * freq * t)
 
 
+def reference_envelope(indices, values, length, pad):
+    """`envelope` as scipy's CubicSpline computes it, the oracle for the fast spline."""
+    t = np.asarray(indices, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    if pad > 0 and len(t) > 0:
+        k = min(pad, len(t))
+        t = np.concatenate([-t[:k][::-1], t, 2 * (length - 1) - t[-k:][::-1]])
+        y = np.concatenate([y[:k][::-1], y, y[-k:][::-1]])
+        t, keep = np.unique(t, return_index=True)
+        y = y[keep]
+    return CubicSpline(t, y, bc_type="natural")(np.arange(length))
+
+
 class TestFindExtrema:
     def test_sine_counts(self):
-        sig = Signal(tone(5, rate=1000), 1000)
-        (max_i, _), (min_i, _) = find_extrema(sig)
+        (max_i, _), (min_i, _) = find_extrema(tone(5, rate=1000))
         assert len(max_i) == 5
         assert len(min_i) == 5
 
     def test_monotone_ramp(self):
-        sig = Signal(np.linspace(0, 1, 100), 1)
-        (max_i, _), (min_i, _) = find_extrema(sig)
+        (max_i, _), (min_i, _) = find_extrema(np.linspace(0, 1, 100))
         assert len(max_i) == 0 and len(min_i) == 0
 
     def test_plateau_midpoint(self):
-        sig = Signal(np.array([0.0, 1.0, 1.0, 0.0]), 1)
-        (max_i, max_v), (min_i, _) = find_extrema(sig)
+        (max_i, max_v), (min_i, _) = find_extrema(np.array([0.0, 1.0, 1.0, 0.0]))
         assert list(max_i) == [1]
         assert max_v[0] == 1.0
         assert len(min_i) == 0
 
     def test_endpoints_never_extrema(self):
-        sig = Signal(np.array([5.0, 1.0, 2.0, 1.0, 9.0]), 1)
-        (max_i, _), (min_i, _) = find_extrema(sig)
+        (max_i, _), (min_i, _) = find_extrema(np.array([5.0, 1.0, 2.0, 1.0, 9.0]))
         assert 0 not in max_i and 4 not in max_i
         assert 0 not in min_i and 4 not in min_i
+
+    @pytest.mark.parametrize("x, maxima, minima", [
+        ([1.0, 1.0, 1.0, 0.0, 2.0, 0.0], [4], [3]),    # plateau touching the start
+        ([0.0, 2.0, 0.0, 1.0, 1.0, 1.0], [1], [2]),    # plateau touching the end
+        ([2.0, 0.0, 0.0, 0.0, 0.0, 2.0], [], [2]),     # floor-midpoint of 1..4
+        ([0.3] * 7, [], []),
+        ([0.0, 1.0, 0.0], [1], []),
+        ([1.0, 0.0, 1.0], [], [1]),
+        ([1.0, 2.0], [], []),
+        ([1.0], [], []),
+        ([], [], []),
+    ])
+    def test_plain_array_cases(self, x, maxima, minima):
+        x = np.array(x, dtype=np.float64)
+        (max_i, max_v), (min_i, min_v) = find_extrema(x)
+        assert max_i.dtype.kind == "i" and min_i.dtype.kind == "i"
+        assert list(max_i) == maxima and list(min_i) == minima
+        np.testing.assert_array_equal(max_v, x[maxima])
+        np.testing.assert_array_equal(min_v, x[minima])
+
+    def test_unsigned_input_does_not_wrap(self):
+        (max_i, _), (min_i, _) = find_extrema(np.array([1, 0, 1, 3, 2], dtype=np.uint8))
+        assert list(max_i) == [3] and list(min_i) == [1]
 
 
 class TestEnvelope:
@@ -47,7 +85,7 @@ class TestEnvelope:
 
     def test_sine_upper_envelope(self):
         x = tone(50, rate=8000)
-        (max_i, max_v), _ = find_extrema(Signal(x, 8000))
+        (max_i, max_v), _ = find_extrema(x)
         env = envelope(max_i, max_v, len(x), pad=2)
         interior = env[500:-500]
         assert np.max(np.abs(interior - 1.0)) < 0.02
@@ -56,28 +94,69 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope(np.array([5]), np.array([1.0]), 10, pad=0)
 
+    @pytest.mark.parametrize("indices, values", [
+        ([1.0, np.nan, 9.0], [0.0, 1.0, 0.0]),
+        ([1.0, 5.0, np.inf], [0.0, 1.0, 0.0]),
+        ([1.0, 5.0, 9.0], [0.0, np.nan, 0.0]),
+        ([1.0, 5.0, 9.0], [0.0, -np.inf, 0.0]),
+    ])
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_non_finite_points(self, indices, values, pad):
+        with pytest.raises(ValueError):
+            envelope(np.array(indices), np.array(values), 12, pad=pad)
+
+    def test_unsorted_points(self):
+        with pytest.raises(ValueError):
+            envelope(np.array([5, 2, 8]), np.array([0.0, 1.0, 0.0]), 12, pad=0)
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("case", ["dense", "sparse", "two", "three", "first_sample"])
+    def test_matches_cubic_spline(self, case, pad):
+        length = 3000
+        rng = np.random.default_rng(17)
+        if case == "dense":
+            # about length / 3 knots, like the first mode of noise
+            indices = np.sort(rng.choice(np.arange(1, length - 1), length // 3, replace=False))
+        elif case == "sparse":
+            indices = np.sort(rng.choice(np.arange(1, length - 1), 10, replace=False))
+        elif case == "two":
+            indices = np.array([700, 2100])
+        elif case == "three":
+            indices = np.array([400, 1300, 2950])
+        else:
+            # an extremum at index 0 is its own mirror image
+            indices = np.array([0, 500, 1250, 2200])
+        values = 5.0 * rng.standard_normal(len(indices))
+        env = envelope(indices, values, length, pad)
+        ref = reference_envelope(indices, values, length, pad)
+        assert np.max(np.abs(env - ref)) < 1e-10 * np.max(np.abs(ref))
+
 
 class TestSift:
     def test_pure_sine_is_single_mode(self):
         x = tone(100)
-        imf = sift(Signal(x, 8000), EmdConfig())
-        assert np.corrcoef(imf.samples, x)[0, 1] > 0.99
-        residual = x - imf.samples
+        imf = sift(x, EmdConfig())
+        assert np.corrcoef(imf, x)[0, 1] > 0.99
+        residual = x - imf
         assert np.sqrt(np.mean(residual ** 2)) < 0.1 * np.sqrt(np.mean(x ** 2))
 
     def test_two_tone_first_mode(self):
         x = tone(50) + tone(500)
-        imf = sift(Signal(x, 8000), EmdConfig())
-        assert np.corrcoef(imf.samples, tone(500))[0, 1] > 0.95
+        imf = sift(x, EmdConfig())
+        assert np.corrcoef(imf, tone(500))[0, 1] > 0.95
 
     def test_single_pass_when_threshold_met(self):
         # huge threshold: exactly one mean-envelope subtraction happens
         x = tone(100)
         cfg = EmdConfig(sift_sd_threshold=1e9)
-        imf = sift(Signal(x, 8000), cfg)
+        imf = sift(x, cfg)
         from hhtalpha.emd import _mean_envelope
         expected = x - _mean_envelope(x, cfg.boundary_pad_extrema)
-        np.testing.assert_allclose(imf.samples, expected)
+        np.testing.assert_allclose(imf, expected)
+
+    @pytest.mark.parametrize("x", [np.linspace(0, 1, 100), np.sin(np.linspace(0, 3 * np.pi, 100))])
+    def test_no_mode_without_two_of_each_extremum(self, x):
+        assert sift(x, EmdConfig()) is None
 
 
 class TestEmd:
@@ -122,8 +201,37 @@ class TestEmd:
         for m in imfs.modes[:2]:
             s = m.samples
             zc = np.sum(np.abs(np.diff(np.sign(s))) > 0)
-            (mx, _), (mn, _) = find_extrema(m)
+            (mx, _), (mn, _) = find_extrema(m.samples)
             assert abs((len(mx) + len(mn)) - zc) <= 2
+
+
+    def test_matches_cubic_spline_reference(self, monkeypatch):
+        x = tone(50) + 0.3 * np.random.default_rng(23).standard_normal(8000)
+        fast = emd(Signal(x, 8000))
+        monkeypatch.setattr(emd_module, "envelope", reference_envelope)
+        ref = emd(Signal(x, 8000))
+        assert fast.mode_count == ref.mode_count > 1
+        peak = np.max(np.abs(x))
+        np.testing.assert_allclose(fast.mode_matrix(), ref.mode_matrix(), rtol=0, atol=1e-10 * peak)
+        np.testing.assert_allclose(fast.residual.samples, ref.residual.samples,
+                                   rtol=0, atol=1e-10 * peak)
+
+    def test_extrema_searched_once_per_mean_envelope(self, monkeypatch):
+        calls = {"find_extrema": 0, "_mean_envelope": 0}
+
+        def counted(name):
+            fn = getattr(emd_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(emd_module, name, counted(name))
+        emd(Signal(np.random.default_rng(29).standard_normal(4096), 1))
+        assert calls["_mean_envelope"] > 0
+        assert calls["find_extrema"] == calls["_mean_envelope"]
 
 
 class TestEemd:
