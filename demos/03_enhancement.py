@@ -45,7 +45,7 @@ def main():
 
     print("\n=== Per-frame mode selection ===")
     z = profile.cut_index
-    print(f"  frames: {len(z)}; discarded-mode count Z: "
+    print(f"  frames: {len(z)}; kept-mode count Z: "
           f"min {z.min()}, median {int(np.median(z))}, max {z.max()}")
     print(f"  mean alpha of whole noisy frames: {profile.noisy.mean():.2f} "
           "(low = impulsive)")

@@ -2,24 +2,24 @@
 
 Decomposes a noisy signal into oscillatory modes (ensemble empirical mode
 decomposition), scores every mode frame-by-frame with an alpha-stable
-impulsiveness index, discards noise-like modes against an adaptive
-threshold, and reconstructs the speech by windowed overlap-add.  Objective
+impulsiveness index, keeps per frame the modes up to the last one at or
+below an adaptive threshold, and reconstructs the speech by windowed overlap-add.  Objective
 quality/intelligibility metrics (LLR, fwSNRseg, STOI-style score) are
 included for evaluation.
 """
 
 from .emd import EemdConfig, EmdConfig, ImfSet, eemd, emd, sift
-from .enhance import AlphaProfile, EnhanceConfig, enhance, profile_alpha, reconstruct, select_cut, threshold
+from .enhance import AlphaProfile, EnhanceConfig, analyse, enhance, profile_alpha, reconstruct, select_cut, threshold
 from .metrics import MetricConfig, MetricReport, evaluate, fwsnrseg, llr, map_intelligibility, stoi
 from .signal import FrameGrid, Signal, Window, frame_grid, make_window, overlap_add, read_wav, resample, write_wav
-from .stable import AlphaEstimate, AlphaLookup, build_lookup, default_lookup, estimate_alpha, nu_alpha, quantile, sample_sas
+from .stable import AlphaEstimate, AlphaLookup, build_lookup, default_lookup, estimate_alpha, nu_alpha, sample_sas
 
 __all__ = [
     "AlphaEstimate", "AlphaLookup", "AlphaProfile", "EemdConfig", "EmdConfig",
     "EnhanceConfig", "FrameGrid", "ImfSet", "MetricConfig", "MetricReport",
-    "Signal", "Window", "build_lookup", "default_lookup", "eemd", "emd",
-    "enhance", "estimate_alpha", "evaluate", "frame_grid", "fwsnrseg", "llr",
-    "make_window", "map_intelligibility", "nu_alpha", "overlap_add",
-    "profile_alpha", "quantile", "read_wav", "reconstruct", "resample",
-    "sample_sas", "select_cut", "sift", "stoi", "threshold", "write_wav",
+    "Signal", "Window", "analyse", "build_lookup", "default_lookup", "eemd",
+    "emd", "enhance", "estimate_alpha", "evaluate", "frame_grid", "fwsnrseg",
+    "llr", "make_window", "map_intelligibility", "nu_alpha", "overlap_add",
+    "profile_alpha", "read_wav", "reconstruct", "resample", "sample_sas",
+    "select_cut", "sift", "stoi", "threshold", "write_wav",
 ]

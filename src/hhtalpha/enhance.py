@@ -14,7 +14,7 @@ import numpy as np
 
 from .emd import EemdConfig, ImfSet, eemd
 from .signal import FrameGrid, Signal, Window, extract_frames, frame_grid, make_window, overlap_add
-from .stable import AlphaLookup, default_lookup
+from .stable import MIN_SAMPLES, AlphaLookup, default_lookup, nu_alpha
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
 # padding) are scored as maximally noise-like.
@@ -38,6 +38,9 @@ class EnhanceConfig:
             raise ValueError("alpha_min must lie in [0.5, 2.0]")
         if self.threshold_combine not in ("floor", "literal_min"):
             raise ValueError("threshold_combine must be 'floor' or 'literal_min'")
+        if self.frame_len < MIN_SAMPLES:
+            raise ValueError(f"frame_len must be at least {MIN_SAMPLES} samples, "
+                             f"the minimum the alpha estimator accepts; got {self.frame_len}")
         if self.step <= 0 or self.step > self.frame_len:
             raise ValueError("step must satisfy 0 < step <= frame_len")
 
@@ -79,18 +82,6 @@ class AlphaProfile:
                 writer.writerow(row)
 
 
-def _frame_alphas(samples: np.ndarray, grid: FrameGrid, lookup: AlphaLookup) -> np.ndarray:
-    """Impulsiveness index of every frame of one sample sequence."""
-    frames = extract_frames(samples, grid)
-    q05, q25, q75, q95 = np.quantile(frames, [0.05, 0.25, 0.75, 0.95], axis=1, method="hazen")
-    iqr = q75 - q25
-    out = np.full(grid.count, DEGENERATE_ALPHA)
-    ok = iqr > 0.0
-    nu = (q95[ok] - q05[ok]) / iqr[ok]
-    out[ok] = np.clip(np.interp(nu, lookup.nu, lookup.alpha), 0.5, 2.0)
-    return out
-
-
 def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
                   lookup: AlphaLookup | None = None) -> AlphaProfile:
     """Estimate the impulsiveness index per frame for every mode and for the
@@ -101,46 +92,47 @@ def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
         raise ValueError("mode length does not match the noisy signal")
     if grid.total_len != len(noisy):
         raise ValueError("frame grid does not match the noisy signal")
+
+    def frame_alphas(samples):
+        alpha = lookup.alpha_from_nu(nu_alpha(extract_frames(samples, grid)))
+        return np.nan_to_num(alpha, nan=DEGENERATE_ALPHA)
+
     per_mode = np.empty((grid.count, imfs.mode_count))
     for m, mode in enumerate(imfs.modes):
-        per_mode[:, m] = _frame_alphas(mode.samples, grid, lookup)
-    noisy_alpha = _frame_alphas(noisy.samples, grid, lookup)
-    return AlphaProfile(per_mode=per_mode, noisy=noisy_alpha)
+        per_mode[:, m] = frame_alphas(mode.samples)
+    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy.samples))
 
 
-def threshold(alpha_u: float, cfg: EnhanceConfig) -> float:
-    """Adaptive per-frame selection threshold.
+def threshold(alpha_u, cfg: EnhanceConfig):
+    """Adaptive per-frame selection threshold, elementwise in `alpha_u`.
 
     "floor" keeps the threshold at least alpha_min (prevents over-removal in
     speech-dominant frames); "literal_min" takes min(mu*alpha_u, alpha_min)
     instead.
     """
-    scaled = cfg.mu * alpha_u
+    scaled = cfg.mu * np.asarray(alpha_u)
     if cfg.threshold_combine == "floor":
-        return max(scaled, cfg.alpha_min)
-    return min(scaled, cfg.alpha_min)
+        return np.maximum(scaled, cfg.alpha_min)
+    return np.minimum(scaled, cfg.alpha_min)
 
 
-def select_cut(alphas: np.ndarray, rho: float) -> int:
+def select_cut(alphas, rho):
     """Index of the last mode whose impulsiveness is at or below the threshold.
 
-    Returns 0 when no mode qualifies (the frame is reconstructed as silence).
-    Modes past the returned index are treated as noise-like and dropped.
+    `alphas` is one row of per-mode values with a scalar `rho`, or a
+    (frames x modes) matrix with one `rho` per frame.  Returns 0 where no
+    mode qualifies (the frame is reconstructed as silence).  Modes past the
+    returned index are treated as noise-like and dropped.
     """
-    alphas = np.asarray(alphas)
-    below = np.flatnonzero(alphas <= rho)
-    return int(below[-1] + 1) if below.size else 0
+    below = np.asarray(alphas) <= np.asarray(rho)[..., np.newaxis]
+    rank = np.arange(1, below.shape[-1] + 1)
+    return np.max(rank * below, axis=-1, initial=0)
 
 
 def apply_selection(profile: AlphaProfile, cfg: EnhanceConfig) -> AlphaProfile:
     """Fill in per-frame thresholds and mode cut indices."""
-    rho = np.array([threshold(a, cfg) for a in profile.noisy])
-    cuts = np.array(
-        [select_cut(profile.per_mode[q], rho[q]) for q in range(profile.frame_count)],
-        dtype=int,
-    )
-    profile.thresholds = rho
-    profile.cut_index = cuts
+    profile.thresholds = threshold(profile.noisy, cfg)
+    profile.cut_index = select_cut(profile.per_mode, profile.thresholds)
     return profile
 
 
@@ -169,17 +161,19 @@ def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
     return overlap_add(frames, grid, window, imfs.residual.sample_rate)
 
 
+def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
+            lookup: AlphaLookup | None = None):
+    """Decompose, profile and select; returns (ImfSet, FrameGrid, filled-in AlphaProfile)."""
+    if len(noisy) < cfg.frame_len // 4:
+        raise ValueError("input shorter than a quarter frame; nothing to enhance")
+    imfs = eemd(noisy, cfg.eemd)
+    grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
+    return imfs, grid, apply_selection(profile_alpha(imfs, noisy, grid, lookup), cfg)
+
+
 def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
             lookup: AlphaLookup | None = None):
     """Full pipeline; returns (enhanced signal, filled-in AlphaProfile)."""
-    if len(noisy) < cfg.frame_len // 4:
-        raise ValueError("input shorter than a quarter frame; nothing to enhance")
-    if lookup is None:
-        lookup = default_lookup()
-    grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
     window = make_window(cfg.window, cfg.frame_len)
-    imfs = eemd(noisy, cfg.eemd)
-    profile = profile_alpha(imfs, noisy, grid, lookup)
-    apply_selection(profile, cfg)
-    enhanced = reconstruct(imfs, profile, grid, window)
-    return enhanced, profile
+    imfs, grid, profile = analyse(noisy, cfg, lookup)
+    return reconstruct(imfs, profile, grid, window), profile

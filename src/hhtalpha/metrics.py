@@ -18,8 +18,6 @@ from .signal import Signal, resample
 # Logistic mapping coefficients f(d) = 100 / (1 + exp(a*d + b))
 STOI_MAP_A = -13.45
 STOI_MAP_B = 9.36
-CSII_MAP_A = -10.09
-CSII_MAP_B = 4.65
 
 _EPS = 1e-15
 
@@ -51,7 +49,6 @@ class MetricReport:
     fwsnrseg_db: float | None = None
     stoi: float | None = None
     stoi_pct: float | None = None
-    csii_pct: float | None = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if v is not None}
@@ -260,6 +257,9 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
 def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi"),
              cfg: MetricConfig = MetricConfig()) -> MetricReport:
     """Compute the requested metrics for a clean/processed pair."""
+    unknown = [name for name in which if name not in ("llr", "fwsnrseg", "stoi")]
+    if unknown:
+        raise ValueError(f"unknown metric: {unknown[0]!r}")
     report = MetricReport()
     for name in which:
         if name == "llr":
@@ -269,6 +269,4 @@ def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")
         elif name == "stoi":
             report.stoi = stoi(clean, processed, cfg)
             report.stoi_pct = float(map_intelligibility(report.stoi, STOI_MAP_A, STOI_MAP_B))
-        else:
-            raise ValueError(f"unknown metric: {name!r}")
     return report

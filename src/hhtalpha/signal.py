@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
@@ -105,18 +106,16 @@ def frame_grid(total_len: int, frame_len: int, step: int) -> FrameGrid:
 def extract_frames(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
     """Cut `samples` into the grid's frames as a (count, frame_len) array.
 
-    Positions past the end of the signal are zero.
+    Positions past the end of the signal are zero.  The result is a
+    read-only strided view of one zero-padded copy of `samples`; frames
+    share memory, so copy it before writing.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) != grid.total_len:
         raise ValueError("sample count does not match grid.total_len")
-    padded = np.zeros((grid.count - 1) * grid.step + grid.frame_len if grid.count else 0)
+    padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
     padded[: grid.total_len] = samples
-    out = np.empty((grid.count, grid.frame_len))
-    for q in range(grid.count):
-        start = q * grid.step
-        out[q] = padded[start : start + grid.frame_len]
-    return out
+    return sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
 
 
 def overlap_add(frames: np.ndarray, grid: FrameGrid, window: Window,
@@ -143,11 +142,6 @@ def overlap_add(frames: np.ndarray, grid: FrameGrid, window: Window,
     out = np.zeros(ext)
     out[covered] = acc[covered] / overlap[covered]
     return Signal(out[: grid.total_len], sample_rate)
-
-
-def window_frames(samples: np.ndarray, grid: FrameGrid, window: Window) -> np.ndarray:
-    """Frame `samples` on the grid and apply the window to every frame."""
-    return extract_frames(samples, grid) * window.values
 
 
 def read_wav(path) -> Signal:

@@ -50,9 +50,13 @@ class AlphaLookup:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "nu", nu)
 
-    def alpha_from_nu(self, nu_value: float) -> float:
+    def alpha_from_nu(self, nu):
+        """Alpha for each quantile ratio in `nu`, clamped to [0.5, 2.0].
+
+        Elementwise; NaN passes through.
+        """
         # np.interp needs ascending x; alpha is descending along ascending nu
-        return float(np.interp(nu_value, self.nu, self.alpha))
+        return np.clip(np.interp(nu, self.nu, self.alpha), ALPHA_MIN_TABLE, ALPHA_MAX_TABLE)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -87,32 +91,22 @@ def default_lookup() -> AlphaLookup:
         return AlphaLookup.load(p)
 
 
-def quantile(samples, p: float):
-    """Order-statistic quantile at positions (i - 0.5)/n, linearly interpolated.
+def nu_alpha(samples):
+    """Quantile spread ratio (x95 - x05) / (x75 - x25) over the last axis.
 
-    Probabilities outside the covered range clamp to the sample min/max.
-    `p` may be a scalar or an array of probabilities.
+    NaN where the interquartile range is zero.  A float for 1-D input, else
+    one value per row (the last axis is reduced; use `.ravel()` to pool).
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("quantile of empty sample set")
-    p_arr = np.asarray(p, dtype=np.float64)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise ValueError("p must lie strictly between 0 and 1")
-    out = np.quantile(samples, p_arr, method="hazen")
-    return float(out) if np.isscalar(p) else out
-
-
-def nu_alpha(samples) -> float:
-    """Quantile spread ratio (x95 - x05) / (x75 - x25)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples.size}")
-    q05, q25, q75, q95 = quantile(samples, np.array([0.05, 0.25, 0.75, 0.95]))
+    n = samples.shape[-1] if samples.ndim else 0
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    q05, q25, q75, q95 = np.quantile(samples, [0.05, 0.25, 0.75, 0.95], axis=-1,
+                                     method="hazen")
     iqr = q75 - q25
-    if iqr <= 0.0:
-        raise ValueError("degenerate input: zero interquartile range")
-    return float((q95 - q05) / iqr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
+    return float(nu) if nu.ndim == 0 else nu
 
 
 def estimate_alpha(samples, lookup: AlphaLookup | None = None) -> AlphaEstimate:
@@ -123,11 +117,12 @@ def estimate_alpha(samples, lookup: AlphaLookup | None = None) -> AlphaEstimate:
     """
     if lookup is None:
         lookup = default_lookup()
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64).ravel()
     nu = nu_alpha(samples)
-    alpha = lookup.alpha_from_nu(nu)
-    alpha = float(np.clip(alpha, ALPHA_MIN_TABLE, ALPHA_MAX_TABLE))
-    return AlphaEstimate(alpha=alpha, nu_alpha=nu, sample_count=samples.size)
+    if np.isnan(nu):
+        raise ValueError("degenerate input: zero interquartile range")
+    return AlphaEstimate(alpha=float(lookup.alpha_from_nu(nu)), nu_alpha=nu,
+                         sample_count=samples.size)
 
 
 def sample_sas(alpha: float, n: int, seed) -> np.ndarray:

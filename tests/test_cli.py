@@ -170,3 +170,28 @@ class TestEnhanceCommand:
     def test_missing_file_fails(self, tmp_path):
         assert run("enhance", "--in", tmp_path / "nope.wav",
                    "--out", tmp_path / "o.wav") == 1
+
+    def test_frame_below_estimator_minimum_fails(self, tmp_path, clean_wav, capsys):
+        assert run("enhance", "--in", clean_wav, "--out", tmp_path / "o.wav",
+                   "--frame", 64, "--step", 32, "--ensemble", 1) == 1
+        assert capsys.readouterr().err.startswith("error: frame_len")
+        assert not (tmp_path / "o.wav").exists()
+
+
+class TestAlphaCommand:
+    FLAGS = ("--frame", 4096, "--step", 512, "--mu", 0.9, "--alpha-min", 1.2,
+             "--threshold-mode", "literal-min", "--ensemble", 3, "--modes", 6, "--seed", 7)
+
+    def test_csv_equals_enhance_profile(self, tmp_path, clean_wav):
+        alpha_csv, profile_csv = tmp_path / "alpha.csv", tmp_path / "profile.csv"
+        assert run("alpha", "--in", clean_wav, "--out", alpha_csv, *self.FLAGS) == 0
+        assert run("enhance", "--in", clean_wav, "--out", tmp_path / "enh.wav",
+                   "--profile", profile_csv, *self.FLAGS) == 0
+        assert alpha_csv.read_bytes() == profile_csv.read_bytes()
+
+    def test_shorter_than_quarter_frame_fails(self, tmp_path, clean_wav, capsys):
+        out = tmp_path / "alpha.csv"
+        assert run("alpha", "--in", clean_wav, "--out", out, "--frame", 100000,
+                   "--ensemble", 1) == 1
+        assert "quarter frame" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import hhtalpha
 from hhtalpha import (
     EemdConfig,
     EmdConfig,
     EnhanceConfig,
     Signal,
+    analyse,
     eemd,
     enhance,
     frame_grid,
@@ -31,6 +33,17 @@ def small_cfg(**kw):
     return EnhanceConfig(**defaults)
 
 
+def test_public_names_resolve():
+    for name in hhtalpha.__all__:
+        assert getattr(hhtalpha, name) is not None, name
+
+
+def test_frame_shorter_than_estimator_minimum_rejected():
+    with pytest.raises(ValueError, match="frame_len"):
+        EnhanceConfig(frame_len=64, step=32)
+    EnhanceConfig(frame_len=100, step=32)
+
+
 class TestThreshold:
     def test_floor_passes_scaled_value(self):
         cfg = small_cfg()
@@ -43,6 +56,13 @@ class TestThreshold:
     def test_literal_min(self):
         cfg = small_cfg(threshold_combine="literal_min")
         assert threshold(1.0, cfg) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("mode", ["floor", "literal_min"])
+    def test_elementwise(self, mode):
+        cfg = small_cfg(threshold_combine=mode)
+        alpha_u = np.array([0.5, 1.0, 1.375, 1.6, 2.0])
+        np.testing.assert_array_equal(threshold(alpha_u, cfg),
+                                      [threshold(a, cfg) for a in alpha_u])
 
 
 class TestSelectCut:
@@ -63,6 +83,9 @@ class TestSelectCut:
             rhos = np.sort(rng.uniform(0.5, 2.0, size=4))
             cuts = [select_cut(alphas, r) for r in rhos]
             assert cuts == sorted(cuts)
+            # the matrix form equals the per-row calls
+            matrix = np.tile(alphas, (len(rhos), 1))
+            np.testing.assert_array_equal(select_cut(matrix, rhos), cuts)
 
 
 class TestProfileAlpha:
@@ -172,6 +195,19 @@ class TestEnhance:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             enhance(Signal(np.zeros(100), 16000), small_cfg())
+        with pytest.raises(ValueError, match="quarter frame"):
+            analyse(Signal(np.zeros(100), 16000), small_cfg())
+
+    def test_constant_input_is_silence(self):
+        sig = Signal(np.full(4096, 0.25), 16000)
+        out, prof = enhance(sig, small_cfg())
+        assert prof.per_mode.shape == (prof.frame_count, 0)
+        np.testing.assert_array_equal(prof.cut_index, 0)
+        assert len(out) == len(sig)
+        np.testing.assert_array_equal(out.samples, 0.0)
+        _, grid, _ = analyse(sig, small_cfg())
+        assert grid == frame_grid(len(sig), small_cfg().frame_len, small_cfg().step)
+        assert grid.count == prof.frame_count
 
     def test_raising_rho_never_decreases_cut(self):
         x = make_speech_proxy(n=8192, bursts=((0.05, 0.2), (0.3, 0.15)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hhtalpha import Signal, evaluate, fwsnrseg, llr, map_intelligibility, stoi
-from hhtalpha.metrics import CSII_MAP_A, CSII_MAP_B, STOI_MAP_A, STOI_MAP_B
+from hhtalpha.metrics import STOI_MAP_A, STOI_MAP_B
 
 from conftest import make_speech_proxy, mix_at_snr
 
@@ -90,10 +90,6 @@ class TestMapping:
     def test_stoi_coefficients_at_zero(self):
         assert map_intelligibility(0.0, STOI_MAP_A, STOI_MAP_B) == pytest.approx(0.0086, abs=0.001)
 
-    def test_csii_coefficients_midpoint(self):
-        d = -CSII_MAP_B / CSII_MAP_A
-        assert map_intelligibility(d, CSII_MAP_A, CSII_MAP_B) == pytest.approx(50.0, abs=1e-9)
-
     def test_increasing_for_negative_a(self):
         vals = [map_intelligibility(d, STOI_MAP_A, STOI_MAP_B) for d in (0.0, 0.5, 1.0)]
         assert vals[0] < vals[1] < vals[2]
@@ -113,6 +109,10 @@ class TestEvaluate:
         report = evaluate(clean, clean, which=("llr",))
         assert report.to_dict() == {"llr": 0.0}
 
-    def test_unknown_metric(self, clean):
+    def test_unknown_metric(self, clean, monkeypatch):
         with pytest.raises(ValueError):
             evaluate(clean, clean, which=("pesq",))
+        # an unknown name is rejected before any known metric is computed
+        monkeypatch.setattr("hhtalpha.metrics.stoi", lambda *a: pytest.fail("stoi computed"))
+        with pytest.raises(ValueError, match="'pesq'"):
+            evaluate(clean, clean, which=("stoi", "pesq"))

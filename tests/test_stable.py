@@ -9,33 +9,11 @@ from hhtalpha import (
     default_lookup,
     estimate_alpha,
     nu_alpha,
-    quantile,
     sample_sas,
 )
 
 GAUSS_NU = 2.4388  # (2*1.6449)/(2*0.6745)
 CAUCHY_NU = 6.3138  # tan(0.45*pi)/tan(0.25*pi)
-
-
-class TestQuantile:
-    def test_median_odd(self):
-        assert quantile([1, 2, 3, 4, 5], 0.5) == 3.0
-
-    def test_median_even_interpolates(self):
-        assert quantile([1, 2, 3, 4], 0.5) == 2.5
-
-    def test_clamps_to_max(self):
-        assert quantile(list(range(10)), 0.999) == 9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50),
-           st.floats(0.01, 0.99))
-    def test_within_sample_range(self, xs, p):
-        q = quantile(xs, p)
-        assert min(xs) <= q <= max(xs)
 
 
 class TestNuAlpha:
@@ -48,12 +26,24 @@ class TestNuAlpha:
         assert nu_alpha(x) == pytest.approx(CAUCHY_NU, abs=0.3)
 
     def test_degenerate_rejected(self):
+        assert np.isnan(nu_alpha(np.ones(1000)))
         with pytest.raises(ValueError, match="interquartile"):
-            nu_alpha(np.ones(1000))
+            estimate_alpha(np.ones(1000))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             nu_alpha(np.arange(50.0))
+        with pytest.raises(ValueError):
+            nu_alpha(np.zeros((500, 50)))
+
+    def test_rows_match_one_dimensional_calls(self):
+        frames = np.stack([sample_sas(a, 400, s) for s, a in enumerate((0.8, 1.2, 1.7, 2.0))]
+                          + [np.ones(400)])
+        rows = nu_alpha(frames)
+        assert rows.shape == (5,)
+        for row, nu in zip(frames, rows):
+            np.testing.assert_array_equal(nu, nu_alpha(row))
+        assert np.isnan(rows[-1])
 
 
 class TestEstimateAlpha:
@@ -65,6 +55,17 @@ class TestEstimateAlpha:
         lookup = default_lookup()
         assert lookup.alpha_from_nu(2.4388) == 2.0
         assert lookup.alpha_from_nu(1.0) == 2.0  # below-table clamp
+        assert lookup.alpha_from_nu(1e6) == 0.5  # above-table clamp
+
+    def test_lookup_elementwise(self):
+        lookup = default_lookup()
+        nus = np.array([1.0, 2.4388, 3.1, 4.7, 6.3138, 12.0, 1e6, np.nan])
+        alphas = lookup.alpha_from_nu(nus)
+        assert alphas.shape == nus.shape
+        for nu, alpha in zip(nus, alphas):
+            np.testing.assert_array_equal(alpha, lookup.alpha_from_nu(nu))
+        assert np.isnan(alphas[-1])
+        assert np.all((alphas[:-1] >= 0.5) & (alphas[:-1] <= 2.0))
 
     def test_oracle_closed_loop(self):
         hits = 0
