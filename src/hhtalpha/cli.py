@@ -79,6 +79,9 @@ def cmd_alpha(args) -> int:
 def cmd_mix(args) -> int:
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
+    for path, sig in ((args.clean, clean), (args.noise, noise)):
+        if len(sig) == 0:
+            raise ValueError(f"{path} is empty")
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("clean and noise sample rates differ")
     rng = np.random.default_rng(args.seed)
@@ -113,6 +116,8 @@ def _active_mask(x: np.ndarray, rate: int, frame_ms=32.0, floor_db=40.0) -> np.n
 
 def cmd_synth_noise(args) -> int:
     n = int(round(args.duration * args.rate))
+    if n < 1:
+        raise ValueError("--duration must span at least one sample at --rate")
     samples = sample_sas(args.alpha, n, args.seed)
     peak = np.max(np.abs(samples))
     if peak > 0:

@@ -138,27 +138,20 @@ def apply_selection(profile: AlphaProfile, cfg: EnhanceConfig) -> AlphaProfile:
 
 def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
                 window: Window) -> Signal:
-    """Windowed per-frame sum of the kept mode prefix, overlap-added.
+    """Overlap-add, frame by frame, the windowed sum of the kept mode prefix.
 
-    The residual trend is never included.  Output length equals the source
+    Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
+    residual trend is never included.  Output length equals the source
     length exactly.
     """
     if profile.cut_index is None:
         raise ValueError("profile has no cut indices; run apply_selection first")
     if profile.frame_count != grid.count or imfs.source_len != grid.total_len:
         raise ValueError("profile/grid/mode shapes are inconsistent")
-    # prefix sums let each frame pick "modes 1..Z" with one row lookup
-    prefix = np.cumsum(imfs.mode_matrix(), axis=0)
-    frames = np.zeros((grid.count, grid.frame_len))
-    for q in range(grid.count):
-        z = int(profile.cut_index[q])
-        if z == 0:
-            continue
-        start = q * grid.step
-        chunk = prefix[z - 1, start : start + grid.frame_len]
-        frames[q, : len(chunk)] = chunk
-    frames *= window.values
-    return overlap_add(frames, grid, window, imfs.residual.sample_rate)
+    # row z holds modes 1..z, so each frame's cut index names its source row
+    prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
+    np.cumsum(imfs.mode_matrix(), axis=0, out=prefix[1:])
+    return overlap_add(prefix, profile.cut_index, grid, window, imfs.residual.sample_rate)
 
 
 def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
 from .signal import Signal, resample
@@ -76,12 +77,9 @@ def _frame_pair(clean: Signal, processed: Signal, cfg: MetricConfig):
     hop = int(round(cfg.hop_ms * clean.sample_rate / 1000.0))
     if len(clean) < n:
         raise ValueError("signal shorter than one analysis frame")
-    count = 1 + (len(clean) - n) // hop
     win = np.hanning(n)
-    starts = np.arange(count) * hop
-    idx = starts[:, None] + np.arange(n)
-    c = clean.samples[idx] * win
-    p = processed.samples[idx] * win
+    c = sliding_window_view(clean.samples, n)[::hop] * win
+    p = sliding_window_view(processed.samples, n)[::hop] * win
     energy = np.sum(c * c, axis=1)
     active = energy >= energy.max() * 10.0 ** (-cfg.active_floor_db / 10.0)
     return c, p, active
@@ -193,10 +191,8 @@ def _octave_band_matrix(cfg: MetricConfig) -> np.ndarray:
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray, cfg: MetricConfig):
     n, hop = cfg.stoi_frame, cfg.stoi_hop
     win = np.hanning(n + 2)[1:-1]
-    count = 1 + (len(x) - n) // hop
-    idx = np.arange(count)[:, None] * hop + np.arange(n)
-    xf = x[idx] * win
-    yf = y[idx] * win
+    xf = sliding_window_view(x, n)[::hop] * win
+    yf = sliding_window_view(y, n)[::hop] * win
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
     keep = energy > energy.max() - cfg.stoi_dyn_range_db
     xf, yf = xf[keep], yf[keep]
@@ -227,10 +223,8 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
     if len(x) < n + cfg.stoi_seg_frames * hop:
         raise ValueError("too little active signal for the segment analysis")
     win = np.hanning(n + 2)[1:-1]
-    count = 1 + (len(x) - n) // hop
-    idx = np.arange(count)[:, None] * hop + np.arange(n)
-    X = np.fft.rfft(x[idx] * win, cfg.stoi_nfft, axis=1)
-    Y = np.fft.rfft(y[idx] * win, cfg.stoi_nfft, axis=1)
+    X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, cfg.stoi_nfft, axis=1)
+    Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, cfg.stoi_nfft, axis=1)
     octmat = _octave_band_matrix(cfg)
     # band envelopes, shape (bands, frames)
     Xb = np.sqrt(octmat @ (np.abs(X) ** 2).T)
@@ -257,6 +251,8 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
 def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi"),
              cfg: MetricConfig = MetricConfig()) -> MetricReport:
     """Compute the requested metrics for a clean/processed pair."""
+    if not which:
+        raise ValueError("no metric requested")
     unknown = [name for name in which if name not in ("llr", "fwsnrseg", "stoi")]
     if unknown:
         raise ValueError(f"unknown metric: {unknown[0]!r}")

@@ -71,8 +71,8 @@ def make_window(kind: str, length: int) -> Window:
 
     The Hann window uses half-sample-centred sampling,
     w[k] = 0.5 * (1 - cos(2*pi*(k + 0.5)/length)), which is symmetric,
-    strictly positive, and sums to a constant under any hop that divides
-    the frame length.
+    strictly positive, and sums to a constant under any hop frame_len/k
+    with integer k >= 2 (at hop = frame_len the sum is the window itself).
     """
     if length <= 0:
         raise ValueError("window length must be positive")
@@ -118,30 +118,35 @@ def extract_frames(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
     return sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
 
 
-def overlap_add(frames: np.ndarray, grid: FrameGrid, window: Window,
+def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window,
                 sample_rate: int = 1) -> Signal:
-    """Reassemble windowed frames by overlap-add with pointwise normalization.
+    """Overlap-add windowed frames, each cut from its chosen source row.
 
-    Each output sample is divided by the window-overlap sum
-    P(t) = sum_q w(t - q*step); samples where P(t) < 1e-8 are emitted as 0.
-    The result is trimmed to grid.total_len.
+    Frame q is window * sources[choice[q]] over [q*step, q*step + frame_len),
+    zero past the end of the signal.  Each output sample is divided by the
+    window-overlap sum P(t) = sum_q w(t - q*step); samples where
+    P(t) < OVERLAP_EPS are emitted as 0.  The output has grid.total_len
+    samples, each summed over its frames in ascending q.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape != (grid.count, grid.frame_len):
-        raise ValueError("frames shape does not match grid")
+    sources = np.asarray(sources, dtype=np.float64)
+    if sources.ndim != 2 or sources.shape[1] != grid.total_len:
+        raise ValueError("sources must be a (rows, grid.total_len) array")
+    if np.shape(choice) != (grid.count,):
+        raise ValueError("choice needs one source row per frame of the grid")
     if len(window.values) != grid.frame_len:
         raise ValueError("window length does not match grid.frame_len")
-    ext = (grid.count - 1) * grid.step + grid.frame_len if grid.count else 0
-    acc = np.zeros(ext)
-    overlap = np.zeros(ext)
-    for q in range(grid.count):
-        start = q * grid.step
-        acc[start : start + grid.frame_len] += frames[q]
-        overlap[start : start + grid.frame_len] += window.values
+    acc = np.zeros(grid.total_len)
+    overlap = np.zeros(grid.total_len)
+    for q, row in enumerate(choice):
+        span = slice(q * grid.step, q * grid.step + grid.frame_len)
+        chunk = sources[row, span]
+        w = window.values[: len(chunk)]
+        acc[span] += chunk * w
+        overlap[span] += w
     covered = overlap >= OVERLAP_EPS
-    out = np.zeros(ext)
+    out = np.zeros(grid.total_len)
     out[covered] = acc[covered] / overlap[covered]
-    return Signal(out[: grid.total_len], sample_rate)
+    return Signal(out, sample_rate)
 
 
 def read_wav(path) -> Signal:

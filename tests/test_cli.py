@@ -43,6 +43,12 @@ class TestSynthNoise:
         assert run("synth-noise", "--alpha", 2.5, "--duration", 1.0,
                    "--out", tmp_path / "x.wav") == 1
 
+    def test_duration_below_one_sample_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert run("synth-noise", "--alpha", 1.5, "--duration", 0, "--out", out) == 1
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMix:
     def test_zero_db_equal_powers(self, tmp_path, clean_wav):
@@ -92,6 +98,19 @@ class TestMix:
         assert run("mix", "--clean", clean_wav, "--noise", noise_path,
                    "--snr-db", 0, "--out", tmp_path / "x.wav") == 1
 
+    @pytest.mark.parametrize("empty", ["clean", "noise"])
+    def test_empty_input_fails(self, tmp_path, clean_wav, capsys, empty):
+        paths = {"clean": clean_wav, "noise": tmp_path / "n.wav"}
+        run("synth-noise", "--alpha", 2.0, "--duration", 2.0, "--seed", 3,
+            "--out", paths["noise"])
+        paths[empty] = tmp_path / "empty.wav"
+        write_wav(Signal(np.zeros(0), RATE), paths[empty])
+        out = tmp_path / "mix.wav"
+        assert run("mix", "--clean", paths["clean"], "--noise", paths["noise"],
+                   "--snr-db", 0, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {paths[empty]} is empty\n"
+        assert not out.exists()
+
 
 class TestEval:
     def test_identity_report(self, tmp_path, clean_wav, capsys):
@@ -111,6 +130,12 @@ class TestEval:
     def test_unknown_metric_fails(self, clean_wav):
         assert run("eval", "--clean", clean_wav, "--processed", clean_wav,
                    "--metrics", "pesq") == 1
+
+    def test_empty_metric_list_fails(self, clean_wav, capsys):
+        assert run("eval", "--clean", clean_wav, "--processed", clean_wav,
+                   "--metrics", ",") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no metric" in captured.err
 
 
 class TestDecompose:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,80 @@ class TestProfileAlpha:
         assert np.all(prof.noisy >= 0.5) and np.all(prof.noisy <= 2.0)
 
 
+def frames_matrix_reconstruct(imfs, profile, grid, window):
+    """Reference reconstruction: materialise every windowed frame of the kept
+    mode prefix in a (frames x frame_len) matrix, then overlap-add the rows."""
+    prefix = np.cumsum(imfs.mode_matrix(), axis=0)
+    frames = np.zeros((grid.count, grid.frame_len))
+    for q in range(grid.count):
+        z = int(profile.cut_index[q])
+        if z == 0:
+            continue
+        start = q * grid.step
+        chunk = prefix[z - 1, start : start + grid.frame_len]
+        frames[q, : len(chunk)] = chunk
+    frames *= window.values
+    ext = (grid.count - 1) * grid.step + grid.frame_len if grid.count else 0
+    acc = np.zeros(ext)
+    overlap = np.zeros(ext)
+    for q in range(grid.count):
+        start = q * grid.step
+        acc[start : start + grid.frame_len] += frames[q]
+        overlap[start : start + grid.frame_len] += window.values
+    covered = overlap >= 1e-8
+    out = np.zeros(ext)
+    out[covered] = acc[covered] / overlap[covered]
+    return out[: grid.total_len]
+
+
+def random_imfs(rng, n, modes):
+    return ImfSet(modes=tuple(Signal(rng.standard_normal(n) * 0.5 ** m, 16000)
+                              for m in range(modes)),
+                  residual=Signal(rng.standard_normal(n), 16000))
+
+
+def selected_profile(grid, modes, cut_index):
+    return AlphaProfile(per_mode=np.zeros((grid.count, modes)), noisy=np.zeros(grid.count),
+                        cut_index=np.asarray(cut_index))
+
+
 class TestReconstruct:
+    # (length, frame_len, step): steps that do and do not divide the frame,
+    # step == frame_len, count * step past the end, a signal shorter than a frame
+    GRIDS = [(1000, 128, 48), (777, 100, 100), (2048, 256, 64), (50, 128, 48), (1031, 200, 7)]
+
+    @pytest.mark.parametrize("kind", ["hann", "rectangular"])
+    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
+    def test_bit_exact_to_frames_matrix(self, n, frame_len, step, kind):
+        rng = np.random.default_rng(n + step)
+        grid = frame_grid(n, frame_len, step)
+        win = make_window(kind, frame_len)
+        for modes in (0, 1, 4):
+            imfs = random_imfs(rng, n, modes)
+            cuts = [np.zeros(grid.count, int), np.full(grid.count, modes)]
+            cuts += [rng.integers(0, modes + 1, grid.count) for _ in range(10)]
+            for cut in cuts:
+                prof = selected_profile(grid, modes, cut)
+                out = reconstruct(imfs, prof, grid, win)
+                expected = frames_matrix_reconstruct(imfs, prof, grid, win)
+                assert out.samples.tobytes() == expected.tobytes()
+
+    def test_memory_independent_of_frame_overlap(self):
+        # 128 frames cover each sample; a frames matrix would take 128 x length
+        n, modes = 16000, 10
+        rng = np.random.default_rng(3)
+        imfs = random_imfs(rng, n, modes)
+        grid = frame_grid(n, 2048, 16)
+        prof = selected_profile(grid, modes, rng.integers(0, modes + 1, grid.count))
+        win = make_window("hann", grid.frame_len)
+        tracemalloc.start()
+        try:
+            reconstruct(imfs, prof, grid, win)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (modes + 1) * n * 8
+
     def _setup(self, n=8192):
         x = make_speech_proxy(n=n, bursts=((0.05, 0.2), (0.3, 0.15)))
         sig = Signal(x, 16000)
