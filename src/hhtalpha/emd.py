@@ -9,6 +9,9 @@ from scipy.linalg import solve_banded
 
 from .signal import Signal
 
+# Shortest signal `emd` and `eemd` decompose.
+MIN_LENGTH = 16
+
 
 @dataclass(frozen=True)
 class EmdConfig:
@@ -186,6 +189,11 @@ def sift(x: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
     return h
 
 
+def _check_length(signal: Signal) -> None:
+    if len(signal) < MIN_LENGTH:
+        raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
+
+
 def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     """Decompose a signal into oscillatory modes plus a residual trend.
 
@@ -193,8 +201,7 @@ def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     found or the residual has fewer than 2 maxima or 2 minima.  The sum of
     all modes plus the residual reproduces the input to round-off.
     """
-    if len(signal) < 16:
-        raise ValueError("signal too short to decompose (need >= 16 samples)")
+    _check_length(signal)
     residual = signal.samples.copy()
     modes = []
     for _ in range(cfg.max_modes):
@@ -215,6 +222,7 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     is defined as the input minus the summed averaged modes, so completeness
     holds exactly.  Fully deterministic given cfg.master_seed.
     """
+    _check_length(signal)
     x = signal.samples
     std_x = float(np.std(x))
     if np.isinf(cfg.ensemble_snr_db) or std_x == 0.0:

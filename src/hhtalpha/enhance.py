@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emd import EemdConfig, ImfSet, eemd
-from .signal import FrameGrid, Signal, Window, extract_frames, frame_grid, make_window, overlap_add
-from .stable import MIN_SAMPLES, AlphaLookup, default_lookup, nu_alpha
+from .signal import FrameGrid, Signal, Window, frame_grid, frame_order_stats, make_window, overlap_add
+from .stable import MIN_SAMPLES, AlphaLookup, default_lookup, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
 # padding) are scored as maximally noise-like.
@@ -85,7 +85,11 @@ class AlphaProfile:
 def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
                   lookup: AlphaLookup | None = None) -> AlphaProfile:
     """Estimate the impulsiveness index per frame for every mode and for the
-    noisy signal itself.  Degenerate frames get the sentinel value 2.0."""
+    noisy signal itself.  Degenerate frames get the sentinel value 2.0.
+
+    Each sequence's frames are scored from their order statistics, read by
+    one sliding sorted window, so memory is O(length + frame_len).
+    """
     if lookup is None:
         lookup = default_lookup()
     if imfs.source_len != len(noisy):
@@ -93,9 +97,11 @@ def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
     if grid.total_len != len(noisy):
         raise ValueError("frame grid does not match the noisy signal")
 
+    ranks, gamma = hazen_ranks(grid.frame_len)
+
     def frame_alphas(samples):
-        alpha = lookup.alpha_from_nu(nu_alpha(extract_frames(samples, grid)))
-        return np.nan_to_num(alpha, nan=DEGENERATE_ALPHA)
+        nu = nu_from_order_stats(frame_order_stats(samples, grid, ranks), gamma)
+        return np.nan_to_num(lookup.alpha_from_nu(nu), nan=DEGENERATE_ALPHA)
 
     per_mode = np.empty((grid.count, imfs.mode_count))
     for m, mode in enumerate(imfs.modes):

@@ -1,4 +1,5 @@
-"""Signal container, mono WAV I/O, framing, windowing and overlap-add."""
+"""Signal container, mono WAV I/O, framing, per-frame order statistics,
+windowing and overlap-add."""
 
 from __future__ import annotations
 
@@ -118,6 +119,41 @@ def extract_frames(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
     return sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
 
 
+def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray:
+    """Order statistics `ranks` of every frame, as a (count, len(ranks)) array.
+
+    Row q equals np.sort(extract_frames(samples, grid)[q])[ranks], computed
+    without a frames matrix: frame 0 is sorted once, and each later frame
+    removes from the sorted window the `step` samples that left it and
+    merges in the `step` that entered.  Memory is O(total_len + frame_len)
+    whatever the overlap.
+    """
+    frames = extract_frames(samples, grid)
+    ranks = np.asarray(ranks, dtype=np.intp)
+    out = np.empty((grid.count, len(ranks)))
+    if grid.count == 0:
+        return out
+    n, step = grid.frame_len, grid.step
+    # frame q drops frames[q - 1, :step] and takes in frames[q, n - step:]
+    leaving = np.sort(frames[:-1, :step], axis=1)
+    entering = np.sort(frames[1:, n - step:], axis=1)
+    offset = np.arange(step)
+    keep = np.ones(n, dtype=bool)
+    window = np.sort(frames[0])
+    out[0] = window[ranks]
+    for q in range(1, grid.count):
+        gone = leaving[q - 1]
+        # the k-th of several equal leaving values removes the k-th equal slot
+        slots = np.searchsorted(window, gone) + offset - np.searchsorted(gone, gone)
+        keep[slots] = False
+        # a stable sort of two sorted runs is one linear merge
+        window = np.concatenate((window[keep], entering[q - 1]))
+        window.sort(kind="stable")
+        keep[slots] = True
+        out[q] = window[ranks]
+    return out
+
+
 def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window,
                 sample_rate: int = 1) -> Signal:
     """Overlap-add windowed frames, each cut from its chosen source row.
@@ -161,6 +197,8 @@ def read_wav(path) -> Signal:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"non-finite samples in {path}")
     else:
         raise ValueError(f"unsupported WAV encoding {data.dtype}: {path}")
     return Signal(samples, rate)

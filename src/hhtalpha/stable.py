@@ -91,22 +91,59 @@ def default_lookup() -> AlphaLookup:
         return AlphaLookup.load(p)
 
 
-def nu_alpha(samples):
-    """Quantile spread ratio (x95 - x05) / (x75 - x25) over the last axis.
+# The fractiles the quantile spread ratio reads: x05, x25, x75, x95.
+FRACTILES = np.array([0.05, 0.25, 0.75, 0.95])
 
-    NaN where the interquartile range is zero.  A float for 1-D input, else
-    one value per row (the last axis is reduced; use `.ravel()` to pool).
+
+def hazen_ranks(n: int):
+    """Order-statistic ranks and weights of the Hazen fractiles of n samples.
+
+    Returns (ranks, gamma): ranks[:4] are the floor ranks of the four
+    fractiles, ranks[4:] the next ranks, and gamma their interpolation
+    weights, with the virtual index computed exactly as numpy's "hazen"
+    quantile method does (Hyndman & Fan 1996, definition 5).
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[-1] if samples.ndim else 0
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    q05, q25, q75, q95 = np.quantile(samples, [0.05, 0.25, 0.75, 0.95], axis=-1,
-                                     method="hazen")
+    virtual = n * FRACTILES + (0.5 + FRACTILES * (1 - 0.5 - 0.5)) - 1
+    floor = np.floor(virtual)
+    ranks = floor.astype(np.intp)
+    return np.concatenate((ranks, ranks + 1)), virtual - floor
+
+
+def nu_from_order_stats(stats, gamma):
+    """Quantile spread ratio (x95 - x05) / (x75 - x25) from order statistics.
+
+    `stats[..., :4]` and `stats[..., 4:]` hold the values at the floor and
+    next ranks of `hazen_ranks`, `gamma` its weights; the fractiles are
+    interpolated the way numpy does, so the result is bit-equal to one read
+    from numpy's "hazen" quantiles.  NaN where the interquartile range is
+    zero; a float for one set of statistics, else one value per row.
+    """
+    lo, hi = stats[..., :4], stats[..., 4:]
+    diff = hi - lo
+    q05, q25, q75, q95 = np.moveaxis(
+        np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma), -1, 0)
     iqr = q75 - q25
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
     return float(nu) if nu.ndim == 0 else nu
+
+
+def nu_alpha(samples):
+    """Quantile spread ratio (x95 - x05) / (x75 - x25) over the last axis.
+
+    Reads the 8 order statistics of `hazen_ranks` with one partial sort.
+    NaN where the interquartile range is zero or a sample is NaN.  A float
+    for 1-D input, else one value per row (the last axis is reduced; use
+    `.ravel()` to pool).
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    ranks, gamma = hazen_ranks(samples.shape[-1] if samples.ndim else 0)
+    # NaN sorts last, so the largest value shows whether a row holds one
+    part = np.partition(samples, (*ranks, -1), axis=-1)
+    stats = np.where(np.isnan(part[..., -1:]), np.nan, part[..., ranks])
+    return nu_from_order_stats(stats, gamma)
 
 
 def estimate_alpha(samples, lookup: AlphaLookup | None = None) -> AlphaEstimate:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,31 @@ class TestDecompose:
         assert not list(tmp_path.glob("c_IMF_*.wav"))
         res = read_wav(tmp_path / "c_residual.wav")
         np.testing.assert_allclose(res.samples, 0.25, atol=1e-6)
+
+
+    def test_empty_input_fails_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "empty.wav"
+        write_wav(Signal(np.zeros(0), RATE), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("decompose", "--in", path, "--out-prefix", tmp_path / "e_") == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.startswith("error: signal too short to decompose")
+        assert not list(tmp_path.glob("e_*.wav"))
+
+
+@pytest.mark.parametrize("command", ["enhance", "alpha", "eval"])
+def test_non_finite_input_names_the_file(tmp_path, capsys, command):
+    from scipy.io import wavfile
+    path = tmp_path / "nan.wav"
+    data = np.zeros(4096, dtype=np.float32)
+    data[100] = np.nan
+    wavfile.write(path, RATE, data)
+    args = {"enhance": ("enhance", "--in", path, "--out", tmp_path / "o.wav"),
+            "alpha": ("alpha", "--in", path, "--out", tmp_path / "o.csv"),
+            "eval": ("eval", "--clean", path, "--processed", path)}[command]
+    assert run(*args) == 1
+    assert capsys.readouterr().err == f"error: non-finite samples in {path}\n"
 
 
 class TestEnhanceCommand:

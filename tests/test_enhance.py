@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import hhtalpha
 from hhtalpha import (
@@ -10,6 +11,7 @@ from hhtalpha import (
     EnhanceConfig,
     Signal,
     analyse,
+    default_lookup,
     eemd,
     enhance,
     frame_grid,
@@ -125,6 +127,67 @@ class TestProfileAlpha:
         prof = profile_alpha(imfs, short, grid)
         assert np.all(prof.per_mode >= 0.5) and np.all(prof.per_mode <= 2.0)
         assert np.all(prof.noisy >= 0.5) and np.all(prof.noisy <= 2.0)
+
+
+    GRIDS = [(3000, 1024, 128), (2500, 1000, 300), (2048, 512, 512), (700, 1024, 256)]
+
+    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
+    def test_bit_equal_to_quantile_profile(self, n, frame_len, step):
+        rng = np.random.default_rng(n)
+        imfs = random_imfs(rng, n, 3)
+        ties = np.round(imfs.modes[0].samples * 4)
+        ties[n // 4 : n // 2] = 0.0
+        imfs = ImfSet(imfs.modes + (Signal(ties, 16000),), imfs.residual)
+        noisy = Signal(imfs.total(), 16000)
+        grid = frame_grid(n, frame_len, step)
+        prof = profile_alpha(imfs, noisy, grid)
+        expected = quantile_profile(imfs, noisy, grid)
+        assert prof.per_mode.tobytes() == expected.per_mode.tobytes()
+        assert prof.noisy.tobytes() == expected.noisy.tobytes()
+
+    def test_bit_equal_to_quantile_profile_on_eemd_modes(self, noisy_pair):
+        _, noisy = noisy_pair
+        short = Signal(noisy.samples[:8192], noisy.sample_rate)
+        imfs = eemd(short, FAST_EEMD)
+        grid = frame_grid(len(short), 2048, 64)
+        prof = profile_alpha(imfs, short, grid)
+        expected = quantile_profile(imfs, short, grid)
+        assert prof.per_mode.tobytes() == expected.per_mode.tobytes()
+        assert prof.noisy.tobytes() == expected.noisy.tobytes()
+
+    def test_memory_independent_of_frame_overlap(self):
+        # 80 frames cover each sample; a frames matrix would take 80 x length
+        n, modes = 16000, 4
+        imfs = random_imfs(np.random.default_rng(5), n, modes)
+        noisy = Signal(imfs.total(), 16000)
+        grid = frame_grid(n, 2560, 32)
+        tracemalloc.start()
+        try:
+            profile_alpha(imfs, noisy, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (n + grid.frame_len) * 8
+
+
+def quantile_profile(imfs, noisy, grid):
+    """Reference profile: numpy's Hazen quantiles over a (frames x frame_len)
+    matrix of each zero-padded sequence, then the table lookup."""
+    lookup = default_lookup()
+
+    def frame_alphas(x):
+        padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
+        padded[: grid.total_len] = x
+        frames = sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
+        q05, q25, q75, q95 = np.quantile(frames, [0.05, 0.25, 0.75, 0.95], axis=-1,
+                                         method="hazen")
+        iqr = q75 - q25
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
+        return np.nan_to_num(lookup.alpha_from_nu(nu), nan=2.0)
+
+    per_mode = np.stack([frame_alphas(m.samples) for m in imfs.modes], axis=1)
+    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy.samples))
 
 
 def frames_matrix_reconstruct(imfs, profile, grid, window):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hhtalpha import Signal, frame_grid, make_window, overlap_add, read_wav, resample, write_wav
-from hhtalpha.signal import extract_frames
+from hhtalpha.signal import extract_frames, frame_order_stats
 
 
 def test_signal_rejects_nan():
@@ -39,6 +42,13 @@ class TestWav:
         path = tmp_path / "empty.wav"
         write_wav(Signal(np.zeros(0), 16000), path)
         assert len(read_wav(path)) == 0
+
+    def test_non_finite_names_the_file(self, tmp_path):
+        from scipy.io import wavfile
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, 16000, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+        with pytest.raises(ValueError, match=re.escape(f"non-finite samples in {path}")):
+            read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
@@ -156,3 +166,44 @@ def test_extract_frames_zero_pads():
     np.testing.assert_array_equal(frames[2], [8, 9, 0, 0, 0, 0, 0, 0])
     assert not frames.flags.writeable
     assert extract_frames(np.zeros(0), frame_grid(0, 8, 4)).shape == (0, 8)
+    stats = frame_order_stats(np.arange(10.0), grid, np.arange(8))
+    np.testing.assert_array_equal(stats[2], [0, 0, 0, 0, 0, 0, 8, 9])
+
+
+def sorted_frames(x, grid):
+    """Reference: every zero-padded frame, fully sorted."""
+    padded = np.pad(x, (0, grid.count * grid.step + grid.frame_len))
+    return np.sort(sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count],
+                   axis=1)
+
+
+def tie_heavy(rng, n):
+    """Small integers with a long run of zeros: most values repeat."""
+    x = rng.integers(-3, 4, n).astype(np.float64)
+    x[n // 5 : n // 2] = 0.0
+    return x
+
+
+class TestFrameOrderStats:
+    # (length, frame_len, step): steps that do and do not divide the frame,
+    # step == frame_len, count * step past the end, a signal shorter than a
+    # frame, no frames at all
+    GRIDS = [(1000, 128, 32), (1000, 128, 48), (1031, 200, 7), (777, 100, 100),
+             (1030, 256, 64), (50, 128, 48), (0, 128, 32)]
+
+    @pytest.mark.parametrize("source", ["tie_heavy", "continuous"])
+    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
+    def test_equals_sorted_frames(self, n, frame_len, step, source):
+        rng = np.random.default_rng(n + step)
+        x = tie_heavy(rng, n) if source == "tie_heavy" else rng.standard_cauchy(n)
+        grid = frame_grid(n, frame_len, step)
+        expected = sorted_frames(x, grid)
+        every_rank = frame_order_stats(x, grid, np.arange(frame_len))
+        assert every_rank.shape == (grid.count, frame_len)
+        np.testing.assert_array_equal(every_rank, expected)
+        ranks = [frame_len - 1, 0, 3, 3]
+        np.testing.assert_array_equal(frame_order_stats(x, grid, ranks), expected[:, ranks])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="total_len"):
+            frame_order_stats(np.zeros(9), frame_grid(10, 8, 4), [0])

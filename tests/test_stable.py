@@ -11,6 +11,7 @@ from hhtalpha import (
     nu_alpha,
     sample_sas,
 )
+from hhtalpha.stable import MIN_SAMPLES, hazen_ranks
 
 GAUSS_NU = 2.4388  # (2*1.6449)/(2*0.6745)
 CAUCHY_NU = 6.3138  # tan(0.45*pi)/tan(0.25*pi)
@@ -44,6 +45,44 @@ class TestNuAlpha:
         for row, nu in zip(frames, rows):
             np.testing.assert_array_equal(nu, nu_alpha(row))
         assert np.isnan(rows[-1])
+
+
+def quantile_nu(samples):
+    """Reference: the ratio read from numpy's Hazen quantiles."""
+    q05, q25, q75, q95 = np.quantile(samples, [0.05, 0.25, 0.75, 0.95], axis=-1,
+                                     method="hazen")
+    iqr = q75 - q25
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
+
+
+class TestHazenOrderStats:
+    @pytest.mark.parametrize("n", [100, 101, 997, 10240, 20000, 20001])
+    def test_bit_equal_to_numpy_quantile(self, n):
+        x = sample_sas(1.3, n, n)
+        for samples in (x, np.round(x)):
+            assert nu_alpha(samples) == quantile_nu(samples)
+
+    @pytest.mark.parametrize("n", [997, 1000])  # n = 1000 puts every weight at 0.5
+    def test_rows_bit_equal_to_numpy_quantile(self, n):
+        frames = np.stack([sample_sas(1.5, n, s) for s in range(64)] + [np.ones(n)])
+        frames[2] = np.round(frames[2] * 3)
+        frames[4, 17] = np.nan
+        # x05 halfway between 0.1 and 0.7, where a + (b-a)/2 and b - (b-a)/2 differ
+        frames[3] = np.concatenate([np.full(n // 20, 0.1), np.linspace(0.7, 0.8, n - n // 20)])
+        rows = nu_alpha(frames)
+        assert np.isnan(rows[4]) and np.isnan(rows[-1])
+        np.testing.assert_array_equal(rows, quantile_nu(frames))
+
+    def test_ranks_read_by_numpy(self):
+        ranks, gamma = hazen_ranks(10240)
+        np.testing.assert_array_equal(ranks, [511, 2559, 7679, 9727, 512, 2560, 7680, 9728])
+        np.testing.assert_array_equal(gamma, 0.5)
+
+    def test_too_few_samples_rejected(self):
+        hazen_ranks(MIN_SAMPLES)
+        with pytest.raises(ValueError, match="at least"):
+            hazen_ranks(MIN_SAMPLES - 1)
 
 
 class TestEstimateAlpha:
