@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 # Overlap sums below this level are treated as "no window coverage" and the
 # corresponding output samples are emitted as zero.
@@ -221,6 +220,9 @@ def resample(signal: Signal, target_rate: int) -> Signal:
     g = math.gcd(target_rate, signal.sample_rate)
     up = target_rate // g
     down = signal.sample_rate // g
+    # imported here: scipy.signal costs ~1 s and ~45 MB at import, and only resampling uses it
+    from scipy.signal import resample_poly
+
     out = resample_poly(signal.samples, up, down)
     want = round(len(signal) * target_rate / signal.sample_rate)
     if len(out) > want:

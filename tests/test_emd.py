@@ -1,4 +1,11 @@
+import contextlib
 import importlib
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +34,39 @@ def reference_envelope(indices, values, length, pad):
         t, keep = np.unique(t, return_index=True)
         y = y[keep]
     return CubicSpline(t, y, bc_type="natural")(np.arange(length))
+
+
+def reference_eemd(x, rate, cfg):
+    """The serial ensemble loop, the oracle for `eemd`'s modes and residual bytes."""
+    noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
+    acc = np.zeros((cfg.emd.max_modes, len(x)))
+    produced = 0
+    for n in range(cfg.ensemble_size):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
+        imfs = emd(Signal(x + noise_std * rng.standard_normal(len(x)), rate), cfg.emd)
+        produced = max(produced, imfs.mode_count)
+        for m, mode in enumerate(imfs.modes):
+            acc[m] += mode.samples
+    return acc[:produced] / cfg.ensemble_size, x - acc[:produced].sum(axis=0) / cfg.ensemble_size
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail a body that overruns `seconds` instead of hanging the run: at the
+    deadline the pool's workers are killed, so a stalled `eemd` raises."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    start = time.monotonic()
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < seconds
 
 
 class TestFindExtrema:
@@ -268,3 +308,71 @@ class TestEemd:
         imfs = eemd(Signal(x, 8000), EemdConfig(ensemble_size=4, master_seed=0))
         peak = np.max(np.abs(x))
         assert np.max(np.abs(imfs.total() - x)) < 1e-8 * peak
+
+    @pytest.mark.parametrize("cpus", [1, 2, 6])
+    def test_bit_equal_on_any_core_count(self, monkeypatch, cpus):
+        # 6 workers on fewer cores: a lost or out-of-order addition changes the bytes
+        x = np.random.default_rng(11).standard_normal(1024)
+        cfg = EemdConfig(ensemble_size=16, master_seed=3)
+        pools = []
+
+        def recording_pool(workers, **kwargs):
+            pools.append(workers)
+            return ProcessPoolExecutor(workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(emd_module, "ProcessPoolExecutor", recording_pool)
+        with within(60):
+            imfs = eemd(Signal(x, 8000), cfg)
+        assert pools == ([cpus] if cpus > 1 else [])
+        modes, residual = reference_eemd(x, 8000, cfg)
+        assert imfs.mode_count == len(modes)
+        for got, want in zip(imfs.modes, modes):
+            assert got.samples.tobytes() == want.tobytes()
+        assert imfs.residual.samples.tobytes() == residual.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_trial_reaches_caller(self, monkeypatch, cpus):
+        # the patch is inherited by forked workers; the shared count makes
+        # exactly one trial, the fourth to start, raise
+        started = multiprocessing.get_context("fork").Value("i", 0)
+        original = emd_module.emd
+
+        def failing_emd(sig, cfg):
+            with started.get_lock():
+                started.value += 1
+                n = started.value
+            if n == 4:
+                raise RuntimeError("trial failed")
+            return original(sig, cfg)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(emd_module, "emd", failing_emd)
+        x = np.random.default_rng(12).standard_normal(1024)
+        with within(60):
+            with pytest.raises(RuntimeError, match="trial failed"):
+                eemd(Signal(x, 8000), EemdConfig(ensemble_size=8))
+        assert 4 <= started.value <= 8
+        assert multiprocessing.active_children() == []
+
+    def test_threaded_caller_runs_trials_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a caller with threads must not fork")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(emd_module, "ProcessPoolExecutor", no_pool)
+        x = np.random.default_rng(13).standard_normal(1024)
+        cfg = EemdConfig(ensemble_size=4, master_seed=5)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            imfs = eemd(Signal(x, 8000), cfg)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        modes, residual = reference_eemd(x, 8000, cfg)
+        assert np.stack([m.samples for m in imfs.modes]).tobytes() == modes.tobytes()
+        assert imfs.residual.samples.tobytes() == residual.tobytes()

@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import hhtalpha
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,6 +162,17 @@ class TestResample:
     def test_length_ratio(self):
         sig = Signal(np.zeros(10240), 16000)
         assert len(resample(sig, 10000)) == 6400
+
+    def test_scipy_signal_imported_only_to_resample(self):
+        package_root = str(Path(hhtalpha.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, hhtalpha, hhtalpha.cli; print('scipy.signal' in sys.modules); "
+                "hhtalpha.resample(hhtalpha.Signal([0.0] * 64, 16000), 8000); "
+                "print('scipy.signal' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False", "True"]
 
 
 def test_extract_frames_zero_pads():

@@ -31,6 +31,15 @@ class TestNuAlpha:
         with pytest.raises(ValueError, match="interquartile"):
             estimate_alpha(np.ones(1000))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        x = np.random.default_rng(5).standard_normal(500)
+        assert estimate_alpha(x).alpha > 1.5
+        x[250] = bad
+        with pytest.raises(ValueError, match="non-finite") as err:
+            estimate_alpha(x)
+        assert "interquartile" not in str(err.value)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             nu_alpha(np.arange(50.0))
