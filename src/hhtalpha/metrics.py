@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import toeplitz
 
 from .signal import Signal, resample
 
@@ -42,6 +41,16 @@ class MetricConfig:
     stoi_seg_frames: int = 30
     stoi_clip_db: float = -15.0
     stoi_dyn_range_db: float = 40.0
+
+    def __post_init__(self):
+        for name in ("frame_ms", "hop_ms", "stoi_rate", "stoi_frame", "stoi_hop",
+                     "stoi_nfft", "stoi_bands", "stoi_seg_frames"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.lpc_order < 1:
+            raise ValueError("lpc_order must be >= 1")
+        if self.stoi_nfft < self.stoi_frame:
+            raise ValueError("stoi_nfft must be at least stoi_frame")
 
 
 @dataclass
@@ -75,6 +84,9 @@ def _frame_pair(clean: Signal, processed: Signal, cfg: MetricConfig):
     within cfg.active_floor_db of the loudest frame)."""
     n = int(round(cfg.frame_ms * clean.sample_rate / 1000.0))
     hop = int(round(cfg.hop_ms * clean.sample_rate / 1000.0))
+    if n < 1 or hop < 1:
+        raise ValueError(f"frame_ms and hop_ms must each span at least one sample "
+                         f"at {clean.sample_rate} Hz")
     if len(clean) < n:
         raise ValueError("signal shorter than one analysis frame")
     win = np.hanning(n)
@@ -85,18 +97,38 @@ def _frame_pair(clean: Signal, processed: Signal, cfg: MetricConfig):
     return c, p, active
 
 
-def _levinson(r: np.ndarray, order: int) -> np.ndarray:
-    """LPC coefficients [1, a_1 .. a_order] from autocorrelation values."""
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of x with the same row of y, each summed the
+    way np.dot sums one pair of vectors."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _autocorr(rows: np.ndarray, order: int) -> np.ndarray:
+    """Lags 0..order of each row's autocorrelation, shape (rows, order + 1)."""
+    n = rows.shape[1]
+    return np.stack([_row_dots(rows[:, : n - k], rows[:, k:]) for k in range(order + 1)],
+                    axis=1)
+
+
+def _lpc(r: np.ndarray) -> np.ndarray:
+    """Levinson-Durbin on every row of r (autocorrelation lags 0..order,
+    lag 0 positive) at once: LPC coefficients [1, a_1 .. a_order] per row.
+    A row whose prediction error drops to <= 0 keeps that iteration's
+    coefficients and is left alone from then on."""
+    rows, order = r.shape[0], r.shape[1] - 1
+    # reversed copy: r_(i-1) .. r_1 becomes a forward slice, summed as np.dot sums it
+    lags_down = r[:, ::-1].copy()
+    a = np.zeros_like(r)
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    live = np.ones(rows, dtype=bool)
     for i in range(1, order + 1):
-        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
-        k = -acc / err
-        a[1:i + 1] += k * a[i - 1::-1][:i]
+        acc = r[:, i] + _row_dots(a[:, 1:i], lags_down[:, order - i + 1 : order])
+        # k = 0 on a frozen row leaves its coefficients and error as they are
+        k = np.divide(-acc, err, out=np.zeros(rows), where=live)
+        a[:, 1:i + 1] += k[:, None] * a[:, i - 1::-1]
         err *= 1.0 - k * k
-        if err <= 0.0:
-            break
+        live &= err > 0.0
     return a
 
 
@@ -105,29 +137,28 @@ def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) ->
 
     Per frame: log(a_p R_c a_p' / a_c R_c a_c'), clamped to [0, 2], with R_c
     the clean-frame autocorrelation matrix.  0 when processed == clean.
+    Frames where either signal or either quadratic form is not positive are
+    skipped.
     """
     _check_pair(clean, processed)
     c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
     order = cfg.lpc_order
     if c_frames.shape[1] <= order:
         raise ValueError("analysis frame shorter than the LPC order")
-    scores = []
-    for c, p in zip(c_frames[active], p_frames[active]):
-        rc = np.array([np.dot(c[: len(c) - k], c[k:]) for k in range(order + 1)])
-        rp = np.array([np.dot(p[: len(p) - k], p[k:]) for k in range(order + 1)])
-        if rc[0] <= 0.0 or rp[0] <= 0.0:
-            continue
-        ac = _levinson(rc, order)
-        ap = _levinson(rp, order)
-        R = toeplitz(rc)
-        num = ap @ R @ ap
-        den = ac @ R @ ac
-        if den <= 0.0 or num <= 0.0:
-            continue
-        scores.append(np.clip(np.log(num / den), 0.0, 2.0))
-    if not scores:
+    rc = _autocorr(c_frames[active], order)
+    rp = _autocorr(p_frames[active], order)
+    usable = (rc[:, 0] > 0.0) & (rp[:, 0] > 0.0)
+    rc, rp = rc[usable], rp[usable]
+    coefs = _lpc(np.concatenate([rc, rp]))
+    # a R_c a' from the Toeplitz structure: r_0 sum(a_i^2) + 2 sum_k r_k sum_i a_i a_(i+k)
+    weights = rc * np.r_[1.0, np.full(order, 2.0)]
+    forms = _autocorr(coefs, order)
+    den = np.sum(forms[: len(rc)] * weights, axis=1)
+    num = np.sum(forms[len(rc):] * weights, axis=1)
+    scored = (num > 0.0) & (den > 0.0)
+    if not scored.any():
         raise ValueError("no usable frames for LLR")
-    return float(np.mean(scores))
+    return float(np.mean(np.clip(np.log(num[scored] / den[scored]), 0.0, 2.0)))
 
 
 def _triangular_bank(n_bands: int, lo: float, hi: float, freqs: np.ndarray) -> np.ndarray:
@@ -188,21 +219,29 @@ def _octave_band_matrix(cfg: MetricConfig) -> np.ndarray:
     return mat
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the rows with row i starting at sample i*hop, (rows - 1)*hop +
+    frame samples long.  Each hop-sized piece of every frame is added in one
+    step, so each sample sums its frames in ascending row order."""
+    count, n = frames.shape
+    pieces = -(-n // hop)
+    out = np.zeros((count + pieces - 1, hop))
+    # piece j of frame i lands in block i + j: descending j is ascending i
+    for j in reversed(range(pieces)):
+        part = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + count, : part.shape[1]] += part
+    return out.ravel()[: (count - 1) * hop + n]
+
+
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray, cfg: MetricConfig):
     n, hop = cfg.stoi_frame, cfg.stoi_hop
     win = np.hanning(n + 2)[1:-1]
     xf = sliding_window_view(x, n)[::hop] * win
     yf = sliding_window_view(y, n)[::hop] * win
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
+    # the loudest frame always passes, so at least one frame is kept
     keep = energy > energy.max() - cfg.stoi_dyn_range_db
-    xf, yf = xf[keep], yf[keep]
-    out_len = (len(xf) - 1) * hop + n if len(xf) else 0
-    xs = np.zeros(out_len)
-    ys = np.zeros(out_len)
-    for i in range(len(xf)):
-        xs[i * hop : i * hop + n] += xf[i]
-        ys[i * hop : i * hop + n] += yf[i]
-    return xs, ys
+    return _overlap_add(xf[keep], hop), _overlap_add(yf[keep], hop)
 
 
 def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -> float:
@@ -231,20 +270,18 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
     Yb = np.sqrt(octmat @ (np.abs(Y) ** 2).T)
     N = cfg.stoi_seg_frames
     clip = 10.0 ** (-cfg.stoi_clip_db / 20.0)
-    scores = []
-    for m in range(N, Xb.shape[1] + 1):
-        xs = Xb[:, m - N : m]
-        ys = Yb[:, m - N : m]
-        scale = np.linalg.norm(xs, axis=1, keepdims=True) / (
-            np.linalg.norm(ys, axis=1, keepdims=True) + _EPS
-        )
-        ys = np.minimum(ys * scale, xs * (1.0 + clip))
-        xc = xs - xs.mean(axis=1, keepdims=True)
-        yc = ys - ys.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1)
-        corr = np.sum(xc * yc, axis=1) / np.maximum(denom, _EPS)
-        scores.append(corr)
-    d = float(np.mean(scores))
+    # every N-frame segment at once, shape (bands, segments, N)
+    xs = sliding_window_view(Xb, N, axis=1)
+    ys = sliding_window_view(Yb, N, axis=1)
+    scale = np.linalg.norm(xs, axis=2, keepdims=True) / (
+        np.linalg.norm(ys, axis=2, keepdims=True) + _EPS
+    )
+    ys = np.minimum(ys * scale, xs * (1.0 + clip))
+    xc = xs - xs.mean(axis=2, keepdims=True)
+    yc = ys - ys.mean(axis=2, keepdims=True)
+    denom = np.linalg.norm(xc, axis=2) * np.linalg.norm(yc, axis=2)
+    corr = np.sum(xc * yc, axis=2) / np.maximum(denom, _EPS)
+    d = float(np.mean(corr))
     return float(np.clip(d, 0.0, 1.0))
 
 

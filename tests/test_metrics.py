@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import toeplitz
 
-from hhtalpha import Signal, evaluate, fwsnrseg, llr, map_intelligibility, stoi
-from hhtalpha.metrics import STOI_MAP_A, STOI_MAP_B
+from hhtalpha import (MetricConfig, Signal, evaluate, fwsnrseg, llr, map_intelligibility,
+                      sample_sas, stoi)
+from hhtalpha.metrics import STOI_MAP_A, STOI_MAP_B, _frame_pair, _lpc, _octave_band_matrix
+from hhtalpha.signal import resample
 
 from conftest import make_speech_proxy, mix_at_snr
 
 RATE = 16000
+# frame 480 samples with hop 176, STOI frame 256 with hop 100: neither hop
+# divides its frame, and each STOI frame overlap-adds in three pieces
+ODD_HOPS = MetricConfig(frame_ms=30.0, hop_ms=11.0, stoi_hop=100)
 
 
 @pytest.fixture(scope="module")
@@ -14,10 +21,91 @@ def clean():
     return Signal(make_speech_proxy(), RATE)
 
 
-def degraded(clean, snr_db, seed=17):
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(len(clean))
+def degraded(clean, snr_db, seed=17, kind="gaussian"):
+    if kind == "gaussian":
+        noise = np.random.default_rng(seed).standard_normal(len(clean))
+    else:  # symmetric alpha-stable, alpha = 1.2
+        noise = sample_sas(1.2, len(clean), seed)
     return Signal(mix_at_snr(clean.samples, noise, snr_db), RATE)
+
+
+def reference_levinson(r, order):
+    """Scalar Levinson-Durbin: LPC coefficients and whether the prediction
+    error reached <= 0 before the last iteration."""
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
+        k = -acc / err
+        a[1:i + 1] += k * a[i - 1::-1][:i]
+        err *= 1.0 - k * k
+        if err <= 0.0:
+            return a, i < order
+    return a, False
+
+
+def reference_llr(clean, processed, cfg=MetricConfig()):
+    """The per-frame LLR loop, the oracle for `llr`.  Returns the score, the
+    number of frames whose recursion stopped early and the number skipped."""
+    c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
+    order = cfg.lpc_order
+    scores, early, skipped = [], 0, 0
+    for c, p in zip(c_frames[active], p_frames[active]):
+        rc = np.array([np.dot(c[: len(c) - k], c[k:]) for k in range(order + 1)])
+        rp = np.array([np.dot(p[: len(p) - k], p[k:]) for k in range(order + 1)])
+        if rc[0] <= 0.0 or rp[0] <= 0.0:
+            skipped += 1
+            continue
+        (ac, c_early), (ap, p_early) = reference_levinson(rc, order), reference_levinson(rp, order)
+        early += c_early + p_early
+        R = toeplitz(rc)
+        num = ap @ R @ ap
+        den = ac @ R @ ac
+        if den <= 0.0 or num <= 0.0:
+            skipped += 1
+            continue
+        scores.append(np.clip(np.log(num / den), 0.0, 2.0))
+    return float(np.mean(scores)), early, skipped
+
+
+def reference_stoi(clean, processed, cfg=MetricConfig()):
+    """The per-frame overlap-add and per-segment correlation loops, the
+    oracle for `stoi`."""
+    x = resample(clean, cfg.stoi_rate).samples
+    y = resample(processed, cfg.stoi_rate).samples
+    n, hop = cfg.stoi_frame, cfg.stoi_hop
+    win = np.hanning(n + 2)[1:-1]
+    xf = sliding_window_view(x, n)[::hop] * win
+    yf = sliding_window_view(y, n)[::hop] * win
+    energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + 1e-15)
+    keep = energy > energy.max() - cfg.stoi_dyn_range_db
+    xf, yf = xf[keep], yf[keep]
+    x = np.zeros((len(xf) - 1) * hop + n)
+    y = np.zeros_like(x)
+    for i in range(len(xf)):
+        x[i * hop : i * hop + n] += xf[i]
+        y[i * hop : i * hop + n] += yf[i]
+    X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, cfg.stoi_nfft, axis=1)
+    Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, cfg.stoi_nfft, axis=1)
+    octmat = _octave_band_matrix(cfg)
+    Xb = np.sqrt(octmat @ (np.abs(X) ** 2).T)
+    Yb = np.sqrt(octmat @ (np.abs(Y) ** 2).T)
+    N = cfg.stoi_seg_frames
+    clip = 10.0 ** (-cfg.stoi_clip_db / 20.0)
+    scores = []
+    for m in range(N, Xb.shape[1] + 1):
+        xs = Xb[:, m - N : m]
+        ys = Yb[:, m - N : m]
+        scale = np.linalg.norm(xs, axis=1, keepdims=True) / (
+            np.linalg.norm(ys, axis=1, keepdims=True) + 1e-15
+        )
+        ys = np.minimum(ys * scale, xs * (1.0 + clip))
+        xc = xs - xs.mean(axis=1, keepdims=True)
+        yc = ys - ys.mean(axis=1, keepdims=True)
+        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1)
+        scores.append(np.sum(xc * yc, axis=1) / np.maximum(denom, 1e-15))
+    return float(np.clip(np.mean(scores), 0.0, 1.0))
 
 
 class TestLlr:
@@ -116,3 +204,96 @@ class TestEvaluate:
         monkeypatch.setattr("hhtalpha.metrics.stoi", lambda *a: pytest.fail("stoi computed"))
         with pytest.raises(ValueError, match="'pesq'"):
             evaluate(clean, clean, which=("stoi", "pesq"))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("kind", ["gaussian", "sas"])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    def test_noisy_pairs(self, clean, kind, snr_db):
+        processed = degraded(clean, snr_db, kind=kind)
+        assert llr(clean, processed) == pytest.approx(reference_llr(clean, processed)[0],
+                                                       rel=0, abs=1e-12)
+        assert stoi(clean, processed) == pytest.approx(reference_stoi(clean, processed),
+                                                        rel=0, abs=1e-12)
+
+    def test_recursion_stopped_early(self, clean):
+        # frames holding only a narrow Gaussian pulse have autocorrelation
+        # matrices so ill-conditioned that the prediction error rounds to <= 0
+        t = np.arange(len(clean)) / RATE
+        samples = clean.samples.copy()
+        for centre in (0.31, 0.81, 1.41, 2.01):
+            span = np.abs(t - centre) < 0.04
+            samples[span] = np.exp(-((t[span] - centre) / 0.002) ** 2)
+        processed = Signal(samples, RATE)
+        want, early, _ = reference_llr(clean, processed)
+        assert early > 0
+        assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_recursion_freezes_each_row_where_it_stopped(self):
+        rows = np.array([[1.0, 0.5, -0.5, 0.3, 0.1],     # error exactly 0 at iteration 2
+                         [1.0, 0.9, -0.9, 0.2, 0.4],     # error negative at iteration 2
+                         [1.0, 0.4, 0.1, -0.05, 0.02]])  # runs all four iterations
+        want = [reference_levinson(r, 4) for r in rows]
+        assert [early for _, early in want] == [True, True, False]
+        np.testing.assert_allclose(_lpc(rows), [a for a, _ in want], rtol=0, atol=1e-12)
+
+    def test_silent_stretches_skipped(self, clean):
+        samples = degraded(clean, 0.0, kind="sas").samples.copy()
+        samples[int(0.7 * RATE) : int(0.95 * RATE)] = 0.0
+        samples[int(1.5 * RATE) : int(1.8 * RATE)] = 0.0
+        processed = Signal(samples, RATE)
+        want, _, skipped = reference_llr(clean, processed)
+        assert skipped > 0
+        assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
+        assert stoi(clean, processed) == pytest.approx(reference_stoi(clean, processed),
+                                                        rel=0, abs=1e-12)
+
+    def test_hops_that_do_not_divide_the_frame(self, clean):
+        processed = degraded(clean, 0.0)
+        assert llr(clean, processed, ODD_HOPS) == pytest.approx(
+            reference_llr(clean, processed, ODD_HOPS)[0], rel=0, abs=1e-12)
+        assert stoi(clean, processed, ODD_HOPS) == pytest.approx(
+            reference_stoi(clean, processed, ODD_HOPS), rel=0, abs=1e-12)
+
+    def test_silent_processed_has_no_usable_frames(self, clean):
+        with pytest.raises(ValueError, match="no usable frames for LLR"):
+            llr(clean, Signal(np.zeros(len(clean)), RATE))
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("gain", [1e-3, 0.5, 7.0])
+    def test_processed_gain(self, clean, gain):
+        processed = degraded(clean, 0.0, kind="sas")
+        louder = Signal(gain * processed.samples, RATE)
+        assert llr(clean, louder) == pytest.approx(llr(clean, processed), rel=1e-9)
+        assert stoi(clean, louder) == pytest.approx(stoi(clean, processed), rel=1e-9)
+
+    @pytest.mark.parametrize("gain", [1e-3, 0.5, 7.0])
+    def test_common_gain(self, clean, gain):
+        processed = degraded(clean, 5.0)
+        both = Signal(gain * clean.samples, RATE), Signal(gain * processed.samples, RATE)
+        assert llr(*both) == pytest.approx(llr(clean, processed), rel=1e-9)
+        assert fwsnrseg(*both) == pytest.approx(fwsnrseg(clean, processed), rel=1e-9)
+        assert stoi(*both) == pytest.approx(stoi(clean, processed), rel=1e-9)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("frame_ms", 0.0), ("hop_ms", -1.0), ("stoi_rate", 0), ("stoi_frame", 0),
+        ("stoi_hop", 0), ("stoi_nfft", -512), ("stoi_bands", 0), ("stoi_seg_frames", 0),
+        ("lpc_order", 0),
+    ])
+    def test_non_positive_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MetricConfig(**{field: value})
+
+    def test_nfft_shorter_than_frame_rejected(self):
+        with pytest.raises(ValueError, match="stoi_nfft"):
+            MetricConfig(stoi_nfft=128)
+
+    @pytest.mark.parametrize("cfg", [MetricConfig(hop_ms=0.01),
+                                     MetricConfig(frame_ms=0.02, hop_ms=16.0)])
+    def test_frame_or_hop_below_one_sample_rejected(self, clean, cfg):
+        for metric in (llr, fwsnrseg):
+            with pytest.raises(ValueError, match="at least one sample at 16000 Hz"):
+                metric(clean, clean, cfg)
