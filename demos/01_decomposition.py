@@ -24,8 +24,8 @@ def main():
     x = np.sin(2 * np.pi * 500 * t) + np.sin(2 * np.pi * 50 * t)
     imfs = emd(Signal(x, RATE))
     for m, mode in enumerate(imfs.modes, start=1):
-        hz = RATE / mean_period(mode.samples)
-        rms = np.sqrt(np.mean(mode.samples ** 2))
+        hz = RATE / mean_period(mode)
+        rms = np.sqrt(np.mean(mode ** 2))
         print(f"  IMF {m}: mean frequency {hz:7.1f} Hz, rms {rms:.3f}")
     err = np.max(np.abs(imfs.total() - x))
     print(f"  completeness: max |sum - input| = {err:.2e}")
@@ -34,7 +34,7 @@ def main():
     print("\n=== Dyadic filter-bank behaviour on white noise ===")
     rng = np.random.default_rng(0)
     imfs = emd(Signal(rng.standard_normal(8192), RATE))
-    periods = [mean_period(m.samples) for m in imfs.modes]
+    periods = [mean_period(m) for m in imfs.modes]
     print("  mean periods per mode:", np.round(periods, 1))
     ratios = np.array(periods[1:]) / np.array(periods[:-1])
     print("  successive ratios (expect roughly 2):", np.round(ratios, 2))
@@ -46,7 +46,7 @@ def main():
     cfg = EemdConfig(emd=EmdConfig(max_modes=8), ensemble_size=25, master_seed=3)
     imfs = eemd(Signal(x, RATE), cfg)
     print(f"  modes produced: {imfs.mode_count}")
-    corr = max(np.corrcoef(m.samples, gap)[0, 1] for m in imfs.modes)
+    corr = max(np.corrcoef(m, gap)[0, 1] for m in imfs.modes)
     print(f"  best single-mode correlation with the burst tone: {corr:.3f}")
     err = np.max(np.abs(imfs.total() - x))
     print(f"  completeness still exact: max error {err:.2e}")

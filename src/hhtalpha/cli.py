@@ -64,8 +64,8 @@ def cmd_decompose(args) -> int:
     signal = read_wav(args.infile)
     imfs = eemd(signal, _eemd_config(args))
     for m, mode in enumerate(imfs.modes, start=1):
-        write_wav(mode, f"{args.out_prefix}IMF_{m:02d}.wav")
-    write_wav(imfs.residual, f"{args.out_prefix}residual.wav")
+        write_wav(Signal(mode, imfs.sample_rate), f"{args.out_prefix}IMF_{m:02d}.wav")
+    write_wav(Signal(imfs.residual, imfs.sample_rate), f"{args.out_prefix}residual.wav")
     print(f"wrote {imfs.mode_count} modes + residual with prefix {args.out_prefix}")
     return 0
 

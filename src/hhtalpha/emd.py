@@ -49,10 +49,19 @@ class EemdConfig:
 
 @dataclass(frozen=True)
 class ImfSet:
-    """Ordered oscillatory modes plus the leftover trend of one signal."""
+    """Ordered oscillatory modes plus the leftover trend of one signal.
 
-    modes: tuple
-    residual: Signal
+    `modes` is a (mode_count, source_len) array, one mode per row, and
+    `residual` the source_len-long trend.
+    """
+
+    modes: np.ndarray
+    residual: np.ndarray
+    sample_rate: int
+
+    def __post_init__(self):
+        if np.ndim(self.modes) != 2 or np.shape(self.modes)[1] != len(self.residual):
+            raise ValueError("modes must be a (mode_count, len(residual)) array")
 
     @property
     def source_len(self) -> int:
@@ -62,17 +71,11 @@ class ImfSet:
     def mode_count(self) -> int:
         return len(self.modes)
 
-    def mode_matrix(self) -> np.ndarray:
-        """Modes stacked as a (mode_count, source_len) array."""
-        if not self.modes:
-            return np.empty((0, self.source_len))
-        return np.stack([m.samples for m in self.modes])
-
     def total(self) -> np.ndarray:
         """Sum of all modes plus the residual."""
-        out = self.residual.samples.copy()
-        for m in self.modes:
-            out += m.samples
+        out = self.residual.copy()
+        for mode in self.modes:
+            out += mode
         return out
 
 
@@ -209,14 +212,16 @@ def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
     """
     _check_length(signal)
     residual = signal.samples.copy()
-    modes = []
-    for _ in range(cfg.max_modes):
+    modes = np.empty((cfg.max_modes, len(residual)))
+    count = 0
+    while count < cfg.max_modes:
         imf = sift(residual, cfg)
         if imf is None:
             break
-        modes.append(Signal(imf, signal.sample_rate))
-        residual = residual - imf
-    return ImfSet(tuple(modes), Signal(residual, signal.sample_rate))
+        modes[count] = imf
+        residual -= imf
+        count += 1
+    return ImfSet(modes[:count], residual, signal.sample_rate)
 
 
 @dataclass
@@ -234,30 +239,29 @@ class _Trials:
     acc: np.ndarray
     turn: object
     cond: object
-    held: tuple = ()
+    held: np.ndarray | None = None
 
     def run(self, n: int) -> int:
         """EMD of the n-th noisy copy, added into `acc` in turn; returns its mode count."""
-        modes = ()
+        rows = self.acc[:0]  # no rows, unless the EMD below returns
         try:
             rng = np.random.default_rng(np.random.SeedSequence([self.cfg.master_seed, n]))
             x = self.signal.samples
             noisy = x + self.noise_std * rng.standard_normal(len(x))
-            modes = emd(Signal(noisy, self.signal.sample_rate), self.cfg.emd).modes
+            rows = emd(Signal(noisy, self.signal.sample_rate), self.cfg.emd).modes
         finally:
             # a trial that raised still takes its turn, so later trials never wait on it
             with self.cond:
                 self.cond.wait_for(lambda: self.turn.value == n)
-                for m, mode in enumerate(modes):
-                    self.acc[m] += mode.samples
+                self.acc[: len(rows)] += rows
                 self.turn.value = n + 1
                 self.cond.notify_all()
         # Keep this trial's modes until the next trial in this process ends.
         # Freed together with its temporaries, they let malloc hand the top of
         # the heap back to the system, and the next trial faults it all in
         # again: about 15 % more CPU time per trial on a 2.4 s input at 16 kHz.
-        self.held = modes
-        return len(modes)
+        self.held = rows
+        return len(rows)
 
 
 # The ensemble a pool worker serves; set by the pool's initializer, so only
@@ -327,8 +331,5 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
                                  initargs=(trials,)) as pool:
             produced = max(pool.map(_worker_run, range(cfg.ensemble_size)))
-    modes = tuple(
-        Signal(acc[m] / cfg.ensemble_size, signal.sample_rate) for m in range(produced)
-    )
-    residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size if produced else x.copy()
-    return ImfSet(modes, Signal(residual, signal.sample_rate))
+    residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size
+    return ImfSet(acc[:produced] / cfg.ensemble_size, residual, signal.sample_rate)

@@ -82,10 +82,10 @@ class AlphaProfile:
                 writer.writerow(row)
 
 
-def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
+def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid,
                   lookup: AlphaLookup | None = None) -> AlphaProfile:
     """Estimate the impulsiveness index per frame for every mode and for the
-    noisy signal itself.  Degenerate frames get the sentinel value 2.0.
+    noisy samples themselves.  Degenerate frames get the sentinel value 2.0.
 
     Each sequence's frames are scored from their order statistics, read by
     one sliding sorted window, so memory is O(length + frame_len).
@@ -105,8 +105,8 @@ def profile_alpha(imfs: ImfSet, noisy: Signal, grid: FrameGrid,
 
     per_mode = np.empty((grid.count, imfs.mode_count))
     for m, mode in enumerate(imfs.modes):
-        per_mode[:, m] = frame_alphas(mode.samples)
-    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy.samples))
+        per_mode[:, m] = frame_alphas(mode)
+    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy))
 
 
 def threshold(alpha_u, cfg: EnhanceConfig):
@@ -143,7 +143,7 @@ def apply_selection(profile: AlphaProfile, cfg: EnhanceConfig) -> AlphaProfile:
 
 
 def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
-                window: Window) -> Signal:
+                window: Window) -> np.ndarray:
     """Overlap-add, frame by frame, the windowed sum of the kept mode prefix.
 
     Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
@@ -156,8 +156,8 @@ def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
         raise ValueError("profile/grid/mode shapes are inconsistent")
     # row z holds modes 1..z, so each frame's cut index names its source row
     prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
-    np.cumsum(imfs.mode_matrix(), axis=0, out=prefix[1:])
-    return overlap_add(prefix, profile.cut_index, grid, window, imfs.residual.sample_rate)
+    np.cumsum(imfs.modes, axis=0, out=prefix[1:])
+    return overlap_add(prefix, profile.cut_index, grid, window)
 
 
 def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
@@ -167,7 +167,7 @@ def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
     imfs = eemd(noisy, cfg.eemd)
     grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
-    return imfs, grid, apply_selection(profile_alpha(imfs, noisy, grid, lookup), cfg)
+    return imfs, grid, apply_selection(profile_alpha(imfs, noisy.samples, grid, lookup), cfg)
 
 
 def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
@@ -175,4 +175,4 @@ def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
     """Full pipeline; returns (enhanced signal, filled-in AlphaProfile)."""
     window = make_window(cfg.window, cfg.frame_len)
     imfs, grid, profile = analyse(noisy, cfg, lookup)
-    return reconstruct(imfs, profile, grid, window), profile
+    return Signal(reconstruct(imfs, profile, grid, window), noisy.sample_rate), profile

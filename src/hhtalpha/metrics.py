@@ -110,11 +110,12 @@ def _autocorr(rows: np.ndarray, order: int) -> np.ndarray:
                     axis=1)
 
 
-def _lpc(r: np.ndarray) -> np.ndarray:
+def _lpc(r: np.ndarray):
     """Levinson-Durbin on every row of r (autocorrelation lags 0..order,
-    lag 0 positive) at once: LPC coefficients [1, a_1 .. a_order] per row.
-    A row whose prediction error drops to <= 0 keeps that iteration's
-    coefficients and is left alone from then on."""
+    lag 0 positive) at once: LPC coefficients [1, a_1 .. a_order] per row,
+    and which rows kept a positive prediction error throughout.  A row whose
+    error drops to <= 0 keeps that iteration's coefficients and is left
+    alone from then on."""
     rows, order = r.shape[0], r.shape[1] - 1
     # reversed copy: r_(i-1) .. r_1 becomes a forward slice, summed as np.dot sums it
     lags_down = r[:, ::-1].copy()
@@ -129,7 +130,7 @@ def _lpc(r: np.ndarray) -> np.ndarray:
         a[:, 1:i + 1] += k[:, None] * a[:, i - 1::-1]
         err *= 1.0 - k * k
         live &= err > 0.0
-    return a
+    return a, live
 
 
 def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -> float:
@@ -138,7 +139,8 @@ def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) ->
     Per frame: log(a_p R_c a_p' / a_c R_c a_c'), clamped to [0, 2], with R_c
     the clean-frame autocorrelation matrix.  0 when processed == clean.
     Frames where either signal or either quadratic form is not positive are
-    skipped.
+    skipped, and so are those whose clean LPC recursion broke down (its
+    prediction error reached <= 0, so a_c R_c a_c' is round-off).
     """
     _check_pair(clean, processed)
     c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
@@ -149,13 +151,13 @@ def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) ->
     rp = _autocorr(p_frames[active], order)
     usable = (rc[:, 0] > 0.0) & (rp[:, 0] > 0.0)
     rc, rp = rc[usable], rp[usable]
-    coefs = _lpc(np.concatenate([rc, rp]))
+    coefs, live = _lpc(np.concatenate([rc, rp]))
     # a R_c a' from the Toeplitz structure: r_0 sum(a_i^2) + 2 sum_k r_k sum_i a_i a_(i+k)
     weights = rc * np.r_[1.0, np.full(order, 2.0)]
     forms = _autocorr(coefs, order)
     den = np.sum(forms[: len(rc)] * weights, axis=1)
     num = np.sum(forms[len(rc):] * weights, axis=1)
-    scored = (num > 0.0) & (den > 0.0)
+    scored = (num > 0.0) & (den > 0.0) & live[: len(rc)]
     if not scored.any():
         raise ValueError("no usable frames for LLR")
     return float(np.mean(np.clip(np.log(num[scored] / den[scored]), 0.0, 2.0)))

@@ -153,8 +153,7 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     return out
 
 
-def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window,
-                sample_rate: int = 1) -> Signal:
+def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window) -> np.ndarray:
     """Overlap-add windowed frames, each cut from its chosen source row.
 
     Frame q is window * sources[choice[q]] over [q*step, q*step + frame_len),
@@ -178,10 +177,7 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window,
         w = window.values[: len(chunk)]
         acc[span] += chunk * w
         overlap[span] += w
-    covered = overlap >= OVERLAP_EPS
-    out = np.zeros(grid.total_len)
-    out[covered] = acc[covered] / overlap[covered]
-    return Signal(out, sample_rate)
+    return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap >= OVERLAP_EPS)
 
 
 def read_wav(path) -> Signal:

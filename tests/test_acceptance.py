@@ -68,10 +68,8 @@ def test_01_emd_completeness():
 def test_02_two_tone_separation():
     x = tone(50, 8000, 2.0) + tone(500, 8000, 2.0)
     imfs = emd(Signal(x, 8000))
-    c_hi = np.corrcoef(imfs.modes[0].samples, tone(500, 8000, 2.0))[0, 1]
-    c_lo = max(
-        np.corrcoef(m.samples, tone(50, 8000, 2.0))[0, 1] for m in imfs.modes[1:]
-    )
+    c_hi = np.corrcoef(imfs.modes[0], tone(500, 8000, 2.0))[0, 1]
+    c_lo = max(np.corrcoef(m, tone(50, 8000, 2.0))[0, 1] for m in imfs.modes[1:])
     report(2, c_hi > 0.95 and c_lo > 0.90,
            f"IMF1 vs 500 Hz corr {c_hi:.3f} (> 0.95), best later IMF vs 50 Hz {c_lo:.3f} (> 0.90)")
 
@@ -81,7 +79,7 @@ def test_03_dyadic_filterbank():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         imfs = emd(Signal(rng.standard_normal(8192), 1))
-        periods = [mean_period(m.samples) for m in imfs.modes[:6]]
+        periods = [mean_period(m) for m in imfs.modes[:6]]
         ratios.append([periods[i + 1] / periods[i] for i in range(1, len(periods) - 1)])
     mean_ratios = np.mean(ratios, axis=0)
     ok = np.all((mean_ratios >= 1.5) & (mean_ratios <= 2.5))
@@ -108,7 +106,7 @@ def test_05_alpha_trend_reproduction():
     noisy = Signal(mix_at_snr(clean, noise, 0.0), RATE)
     imfs = eemd(noisy)
     grid = frame_grid(len(noisy), 10240, 128)
-    prof = profile_alpha(imfs, noisy, grid)
+    prof = profile_alpha(imfs, noisy.samples, grid)
     means = prof.per_mode.mean(axis=0)
     low = means[:3].mean()
     high = means[6:10].mean()
@@ -125,12 +123,12 @@ def test_06_pipeline_noop_identity():
     from hhtalpha.emd import EemdConfig, EmdConfig
     imfs = eemd(sig, EemdConfig(emd=EmdConfig(max_modes=8), ensemble_size=5, master_seed=2))
     grid = frame_grid(len(sig), 4096, 512)
-    prof = profile_alpha(imfs, sig, grid)
+    prof = profile_alpha(imfs, x, grid)
     prof.thresholds = np.full(grid.count, 2.0)
     prof.cut_index = np.full(grid.count, imfs.mode_count, dtype=int)
     out = reconstruct(imfs, prof, grid, make_window("hann", 4096))
-    mode_sum = imfs.mode_matrix().sum(axis=0)
-    err = np.max(np.abs(out.samples - mode_sum)) / np.max(np.abs(mode_sum))
+    mode_sum = imfs.modes.sum(axis=0)
+    err = np.max(np.abs(out - mode_sum)) / np.max(np.abs(mode_sum))
     report(6, err < 1e-6, f"keep-all reconstruction err {err:.2e} (< 1e-6 of peak)")
 
 

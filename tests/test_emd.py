@@ -12,7 +12,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from hhtalpha import EemdConfig, EmdConfig, Signal, eemd, emd, sift
-from hhtalpha.emd import envelope, find_extrema
+from hhtalpha.emd import ImfSet, envelope, find_extrema
 
 # the package re-exports the function `emd`, which shadows the submodule name
 emd_module = importlib.import_module("hhtalpha.emd")
@@ -45,8 +45,7 @@ def reference_eemd(x, rate, cfg):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
         imfs = emd(Signal(x + noise_std * rng.standard_normal(len(x)), rate), cfg.emd)
         produced = max(produced, imfs.mode_count)
-        for m, mode in enumerate(imfs.modes):
-            acc[m] += mode.samples
+        acc[: imfs.mode_count] += imfs.modes
     return acc[:produced] / cfg.ensemble_size, x - acc[:produced].sum(axis=0) / cfg.ensemble_size
 
 
@@ -199,12 +198,27 @@ class TestSift:
         assert sift(x, EmdConfig()) is None
 
 
+class TestImfSet:
+    def test_modes_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="mode_count"):
+            ImfSet(np.zeros(100), np.zeros(100), 8000)
+
+    def test_mode_length_must_match_residual(self):
+        with pytest.raises(ValueError, match="len\\(residual\\)"):
+            ImfSet(np.zeros((2, 99)), np.zeros(100), 8000)
+
+    def test_no_modes_totals_to_the_residual(self):
+        imfs = ImfSet(np.zeros((0, 100)), np.arange(100.0), 8000)
+        assert imfs.mode_count == 0 and imfs.source_len == 100
+        np.testing.assert_array_equal(imfs.total(), np.arange(100.0))
+
+
 class TestEmd:
     def test_constant_signal(self):
         x = np.full(100, 0.7)
         imfs = emd(Signal(x, 1))
         assert imfs.mode_count == 0
-        np.testing.assert_array_equal(imfs.residual.samples, x)
+        np.testing.assert_array_equal(imfs.residual, x)
 
     def test_completeness(self):
         rng = np.random.default_rng(3)
@@ -216,10 +230,8 @@ class TestEmd:
     def test_two_tone_separation(self):
         x = tone(50) + tone(500)
         imfs = emd(Signal(x, 8000))
-        assert np.corrcoef(imfs.modes[0].samples, tone(500))[0, 1] > 0.95
-        later = max(
-            np.corrcoef(m.samples, tone(50))[0, 1] for m in imfs.modes[1:]
-        )
+        assert np.corrcoef(imfs.modes[0], tone(500))[0, 1] > 0.95
+        later = max(np.corrcoef(m, tone(50))[0, 1] for m in imfs.modes[1:])
         assert later > 0.90
 
     def test_too_short_rejected(self):
@@ -231,7 +243,7 @@ class TestEmd:
         imfs = emd(Signal(rng.standard_normal(8192), 1))
         def zcr(x):
             return np.sum(np.abs(np.diff(np.sign(x))) > 0) / len(x)
-        rates = [zcr(m.samples) for m in imfs.modes]
+        rates = [zcr(m) for m in imfs.modes]
         violations = sum(b > a * 1.001 for a, b in zip(rates, rates[1:]))
         assert violations <= max(1, len(rates) // 20)
 
@@ -239,9 +251,8 @@ class TestEmd:
         x = tone(50) + tone(500)
         imfs = emd(Signal(x, 8000))
         for m in imfs.modes[:2]:
-            s = m.samples
-            zc = np.sum(np.abs(np.diff(np.sign(s))) > 0)
-            (mx, _), (mn, _) = find_extrema(m.samples)
+            zc = np.sum(np.abs(np.diff(np.sign(m))) > 0)
+            (mx, _), (mn, _) = find_extrema(m)
             assert abs((len(mx) + len(mn)) - zc) <= 2
 
 
@@ -252,9 +263,8 @@ class TestEmd:
         ref = emd(Signal(x, 8000))
         assert fast.mode_count == ref.mode_count > 1
         peak = np.max(np.abs(x))
-        np.testing.assert_allclose(fast.mode_matrix(), ref.mode_matrix(), rtol=0, atol=1e-10 * peak)
-        np.testing.assert_allclose(fast.residual.samples, ref.residual.samples,
-                                   rtol=0, atol=1e-10 * peak)
+        np.testing.assert_allclose(fast.modes, ref.modes, rtol=0, atol=1e-10 * peak)
+        np.testing.assert_allclose(fast.residual, ref.residual, rtol=0, atol=1e-10 * peak)
 
     def test_extrema_searched_once_per_mean_envelope(self, monkeypatch):
         calls = {"find_extrema": 0, "_mean_envelope": 0}
@@ -281,10 +291,8 @@ class TestEemd:
         cfg = EemdConfig(ensemble_size=1, ensemble_snr_db=np.inf, master_seed=1)
         a = eemd(sig, cfg)
         b = emd(sig)
-        assert a.mode_count == b.mode_count
-        for ma, mb in zip(a.modes, b.modes):
-            np.testing.assert_array_equal(ma.samples, mb.samples)
-        np.testing.assert_array_equal(a.residual.samples, b.residual.samples)
+        np.testing.assert_array_equal(a.modes, b.modes)
+        np.testing.assert_array_equal(a.residual, b.residual)
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
@@ -292,15 +300,14 @@ class TestEemd:
         cfg = EemdConfig(ensemble_size=4, master_seed=42)
         a = eemd(sig, cfg)
         b = eemd(sig, cfg)
-        for ma, mb in zip(a.modes, b.modes):
-            np.testing.assert_array_equal(ma.samples, mb.samples)
+        np.testing.assert_array_equal(a.modes, b.modes)
 
     def test_seed_changes_output(self):
         rng = np.random.default_rng(0)
         sig = Signal(rng.standard_normal(2048), 8000)
         a = eemd(sig, EemdConfig(ensemble_size=2, master_seed=1))
         b = eemd(sig, EemdConfig(ensemble_size=2, master_seed=2))
-        assert not np.array_equal(a.modes[0].samples, b.modes[0].samples)
+        assert not np.array_equal(a.modes[0], b.modes[0])
 
     def test_completeness_exact(self):
         rng = np.random.default_rng(5)
@@ -326,10 +333,9 @@ class TestEemd:
             imfs = eemd(Signal(x, 8000), cfg)
         assert pools == ([cpus] if cpus > 1 else [])
         modes, residual = reference_eemd(x, 8000, cfg)
-        assert imfs.mode_count == len(modes)
-        for got, want in zip(imfs.modes, modes):
-            assert got.samples.tobytes() == want.tobytes()
-        assert imfs.residual.samples.tobytes() == residual.tobytes()
+        assert imfs.modes.shape == modes.shape
+        assert imfs.modes.tobytes() == modes.tobytes()
+        assert imfs.residual.tobytes() == residual.tobytes()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -374,5 +380,5 @@ class TestEemd:
             other.join(timeout=10)
         assert not other.is_alive()
         modes, residual = reference_eemd(x, 8000, cfg)
-        assert np.stack([m.samples for m in imfs.modes]).tobytes() == modes.tobytes()
-        assert imfs.residual.samples.tobytes() == residual.tobytes()
+        assert imfs.modes.tobytes() == modes.tobytes()
+        assert imfs.residual.tobytes() == residual.tobytes()

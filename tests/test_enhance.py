@@ -96,9 +96,9 @@ class TestProfileAlpha:
     def test_stable_mode_frame(self):
         n = 20480
         mode = sample_sas(1.2, n, 3)
-        imfs = ImfSet((Signal(mode, 16000),), Signal(np.zeros(n), 16000))
+        imfs = ImfSet(mode[np.newaxis], np.zeros(n), 16000)
         grid = frame_grid(n, 10240, 10240)
-        prof = profile_alpha(imfs, Signal(mode, 16000), grid)
+        prof = profile_alpha(imfs, mode, grid)
         assert prof.per_mode.shape == (2, 1)
         assert np.all(np.abs(prof.per_mode - 1.2) < 0.1)
 
@@ -106,25 +106,25 @@ class TestProfileAlpha:
         n = 3000
         x = np.zeros(n)
         x[:1024] = np.sin(np.arange(1024.0))
-        imfs = ImfSet((Signal(x, 16000),), Signal(np.zeros(n), 16000))
+        imfs = ImfSet(x[np.newaxis], np.zeros(n), 16000)
         grid = frame_grid(n, 1024, 1024)
-        prof = profile_alpha(imfs, Signal(x, 16000), grid)
+        prof = profile_alpha(imfs, x, grid)
         # frames 1 and 2 are all-zero
         assert prof.per_mode[1, 0] == 2.0
         assert prof.per_mode[2, 0] == 2.0
 
     def test_length_mismatch_rejected(self):
-        imfs = ImfSet((Signal(np.zeros(100), 1),), Signal(np.zeros(100), 1))
+        imfs = ImfSet(np.zeros((1, 100)), np.zeros(100), 1)
         grid = frame_grid(100, 50, 50)
         with pytest.raises(ValueError):
-            profile_alpha(imfs, Signal(np.zeros(99), 1), grid)
+            profile_alpha(imfs, np.zeros(99), grid)
 
     def test_alpha_range_invariant(self, noisy_pair):
         _, noisy = noisy_pair
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
         grid = frame_grid(len(short), 2048, 512)
-        prof = profile_alpha(imfs, short, grid)
+        prof = profile_alpha(imfs, short.samples, grid)
         assert np.all(prof.per_mode >= 0.5) and np.all(prof.per_mode <= 2.0)
         assert np.all(prof.noisy >= 0.5) and np.all(prof.noisy <= 2.0)
 
@@ -135,10 +135,10 @@ class TestProfileAlpha:
     def test_bit_equal_to_quantile_profile(self, n, frame_len, step):
         rng = np.random.default_rng(n)
         imfs = random_imfs(rng, n, 3)
-        ties = np.round(imfs.modes[0].samples * 4)
+        ties = np.round(imfs.modes[0] * 4)
         ties[n // 4 : n // 2] = 0.0
-        imfs = ImfSet(imfs.modes + (Signal(ties, 16000),), imfs.residual)
-        noisy = Signal(imfs.total(), 16000)
+        imfs = ImfSet(np.vstack([imfs.modes, ties]), imfs.residual, 16000)
+        noisy = imfs.total()
         grid = frame_grid(n, frame_len, step)
         prof = profile_alpha(imfs, noisy, grid)
         expected = quantile_profile(imfs, noisy, grid)
@@ -150,8 +150,8 @@ class TestProfileAlpha:
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
         grid = frame_grid(len(short), 2048, 64)
-        prof = profile_alpha(imfs, short, grid)
-        expected = quantile_profile(imfs, short, grid)
+        prof = profile_alpha(imfs, short.samples, grid)
+        expected = quantile_profile(imfs, short.samples, grid)
         assert prof.per_mode.tobytes() == expected.per_mode.tobytes()
         assert prof.noisy.tobytes() == expected.noisy.tobytes()
 
@@ -159,7 +159,7 @@ class TestProfileAlpha:
         # 80 frames cover each sample; a frames matrix would take 80 x length
         n, modes = 16000, 4
         imfs = random_imfs(np.random.default_rng(5), n, modes)
-        noisy = Signal(imfs.total(), 16000)
+        noisy = imfs.total()
         grid = frame_grid(n, 2560, 32)
         tracemalloc.start()
         try:
@@ -186,14 +186,14 @@ def quantile_profile(imfs, noisy, grid):
             nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
         return np.nan_to_num(lookup.alpha_from_nu(nu), nan=2.0)
 
-    per_mode = np.stack([frame_alphas(m.samples) for m in imfs.modes], axis=1)
-    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy.samples))
+    per_mode = np.stack([frame_alphas(m) for m in imfs.modes], axis=1)
+    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy))
 
 
 def frames_matrix_reconstruct(imfs, profile, grid, window):
     """Reference reconstruction: materialise every windowed frame of the kept
     mode prefix in a (frames x frame_len) matrix, then overlap-add the rows."""
-    prefix = np.cumsum(imfs.mode_matrix(), axis=0)
+    prefix = np.cumsum(imfs.modes, axis=0)
     frames = np.zeros((grid.count, grid.frame_len))
     for q in range(grid.count):
         z = int(profile.cut_index[q])
@@ -217,9 +217,8 @@ def frames_matrix_reconstruct(imfs, profile, grid, window):
 
 
 def random_imfs(rng, n, modes):
-    return ImfSet(modes=tuple(Signal(rng.standard_normal(n) * 0.5 ** m, 16000)
-                              for m in range(modes)),
-                  residual=Signal(rng.standard_normal(n), 16000))
+    return ImfSet(modes=rng.standard_normal((modes, n)) * 0.5 ** np.arange(modes)[:, np.newaxis],
+                  residual=rng.standard_normal(n), sample_rate=16000)
 
 
 def selected_profile(grid, modes, cut_index):
@@ -246,14 +245,14 @@ class TestReconstruct:
                 prof = selected_profile(grid, modes, cut)
                 out = reconstruct(imfs, prof, grid, win)
                 expected = frames_matrix_reconstruct(imfs, prof, grid, win)
-                assert out.samples.tobytes() == expected.tobytes()
+                assert out.tobytes() == expected.tobytes()
 
-    def test_memory_independent_of_frame_overlap(self):
-        # 128 frames cover each sample; a frames matrix would take 128 x length
-        n, modes = 16000, 10
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def _peak_bytes(n, modes, step, seed):
+        """tracemalloc peak of one reconstruct call on random modes and cuts."""
+        rng = np.random.default_rng(seed)
         imfs = random_imfs(rng, n, modes)
-        grid = frame_grid(n, 2048, 16)
+        grid = frame_grid(n, 2048, step)
         prof = selected_profile(grid, modes, rng.integers(0, modes + 1, grid.count))
         win = make_window("hann", grid.frame_len)
         tracemalloc.start()
@@ -262,14 +261,25 @@ class TestReconstruct:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (modes + 1) * n * 8
+        return peak
+
+    def test_memory_independent_of_frame_overlap(self):
+        # 128 frames cover each sample; a frames matrix would take 128 x length
+        n, modes = 16000, 10
+        assert self._peak_bytes(n, modes, 16, 3) <= 4 * (modes + 1) * n * 8
+
+    def test_memory_holds_one_copy_of_the_modes(self):
+        # the (modes + 1) x length table of running sums and a few length-long
+        # rows; a stacked copy of the modes beside the table would not fit
+        n, modes = 16000, 10
+        assert self._peak_bytes(n, modes, 128, 4) <= (modes + 8) * n * 8
 
     def _setup(self, n=8192):
         x = make_speech_proxy(n=n, bursts=((0.05, 0.2), (0.3, 0.15)))
         sig = Signal(x, 16000)
         imfs = eemd(sig, FAST_EEMD)
         grid = frame_grid(n, 2048, 256)
-        prof = profile_alpha(imfs, sig, grid)
+        prof = profile_alpha(imfs, x, grid)
         return sig, imfs, grid, prof
 
     def test_keep_all_is_identity_to_mode_sum(self):
@@ -278,9 +288,9 @@ class TestReconstruct:
         prof.cut_index = np.full(grid.count, imfs.mode_count, dtype=int)
         win = make_window("hann", grid.frame_len)
         out = reconstruct(imfs, prof, grid, win)
-        mode_sum = imfs.mode_matrix().sum(axis=0)
+        mode_sum = imfs.modes.sum(axis=0)
         peak = np.max(np.abs(mode_sum))
-        assert np.max(np.abs(out.samples - mode_sum)) < 1e-6 * peak
+        assert np.max(np.abs(out - mode_sum)) < 1e-6 * peak
 
     def test_keep_none_is_silence(self):
         sig, imfs, grid, prof = self._setup()
@@ -288,7 +298,7 @@ class TestReconstruct:
         prof.cut_index = np.zeros(grid.count, dtype=int)
         win = make_window("hann", grid.frame_len)
         out = reconstruct(imfs, prof, grid, win)
-        np.testing.assert_array_equal(out.samples, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_requires_selection(self):
         sig, imfs, grid, prof = self._setup()
@@ -353,7 +363,7 @@ class TestEnhance:
         noisy = Signal(x + noise * np.sqrt(np.mean(x ** 2) / np.mean(noise ** 2)), 16000)
         imfs = eemd(noisy, FAST_EEMD)
         grid = frame_grid(len(noisy), 2048, 256)
-        prof = profile_alpha(imfs, noisy, grid)
+        prof = profile_alpha(imfs, noisy.samples, grid)
         for q in range(grid.count):
             z_lo = select_cut(prof.per_mode[q], 1.0)
             z_hi = select_cut(prof.per_mode[q], 1.5)

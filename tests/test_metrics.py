@@ -30,8 +30,8 @@ def degraded(clean, snr_db, seed=17, kind="gaussian"):
 
 
 def reference_levinson(r, order):
-    """Scalar Levinson-Durbin: LPC coefficients and whether the prediction
-    error reached <= 0 before the last iteration."""
+    """Scalar Levinson-Durbin: LPC coefficients and whether the recursion
+    broke down (the prediction error reached <= 0, where it stopped)."""
     a = np.zeros(order + 1)
     a[0] = 1.0
     err = r[0]
@@ -41,32 +41,44 @@ def reference_levinson(r, order):
         a[1:i + 1] += k * a[i - 1::-1][:i]
         err *= 1.0 - k * k
         if err <= 0.0:
-            return a, i < order
+            return a, True
     return a, False
 
 
 def reference_llr(clean, processed, cfg=MetricConfig()):
     """The per-frame LLR loop, the oracle for `llr`.  Returns the score, the
-    number of frames whose recursion stopped early and the number skipped."""
+    number of recursions that broke down and the number of frames skipped;
+    a frame whose clean recursion broke down is skipped."""
     c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
     order = cfg.lpc_order
-    scores, early, skipped = [], 0, 0
+    scores, broke, skipped = [], 0, 0
     for c, p in zip(c_frames[active], p_frames[active]):
         rc = np.array([np.dot(c[: len(c) - k], c[k:]) for k in range(order + 1)])
         rp = np.array([np.dot(p[: len(p) - k], p[k:]) for k in range(order + 1)])
         if rc[0] <= 0.0 or rp[0] <= 0.0:
             skipped += 1
             continue
-        (ac, c_early), (ap, p_early) = reference_levinson(rc, order), reference_levinson(rp, order)
-        early += c_early + p_early
+        (ac, c_broke), (ap, p_broke) = reference_levinson(rc, order), reference_levinson(rp, order)
+        broke += c_broke + p_broke
         R = toeplitz(rc)
         num = ap @ R @ ap
         den = ac @ R @ ac
-        if den <= 0.0 or num <= 0.0:
+        if c_broke or den <= 0.0 or num <= 0.0:
             skipped += 1
             continue
         scores.append(np.clip(np.log(num / den), 0.0, 2.0))
-    return float(np.mean(scores)), early, skipped
+    return float(np.mean(scores)), broke, skipped
+
+
+def with_pulses(signal, width):
+    """`signal` with the 80 ms around 0.31, 0.81, 1.41 and 2.01 s replaced by
+    one Gaussian pulse each, of scale `width` seconds."""
+    t = np.arange(len(signal)) / RATE
+    samples = signal.samples.copy()
+    for centre in (0.31, 0.81, 1.41, 2.01):
+        span = np.abs(t - centre) < 0.04
+        samples[span] = np.exp(-((t[span] - centre) / width) ** 2)
+    return Signal(samples, RATE)
 
 
 def reference_stoi(clean, processed, cfg=MetricConfig()):
@@ -219,14 +231,22 @@ class TestOracle:
     def test_recursion_stopped_early(self, clean):
         # frames holding only a narrow Gaussian pulse have autocorrelation
         # matrices so ill-conditioned that the prediction error rounds to <= 0
-        t = np.arange(len(clean)) / RATE
-        samples = clean.samples.copy()
-        for centre in (0.31, 0.81, 1.41, 2.01):
-            span = np.abs(t - centre) < 0.04
-            samples[span] = np.exp(-((t[span] - centre) / 0.002) ** 2)
-        processed = Signal(samples, RATE)
-        want, early, _ = reference_llr(clean, processed)
-        assert early > 0
+        processed = with_pulses(clean, 0.002)
+        want, broke, _ = reference_llr(clean, processed)
+        assert broke > 0
+        assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("gain", [1.0, 0.7])
+    @pytest.mark.parametrize("width", [0.001, 0.004])
+    def test_clean_recursion_broke_down(self, width, gain):
+        # the pulses are in the clean signal: a frame whose clean recursion
+        # broke down has a round-off a_c R_c a_c', so it is not scored
+        pulsed = with_pulses(Signal(make_speech_proxy(), RATE), width)
+        noise = np.random.default_rng(0).standard_normal(len(pulsed))
+        processed = Signal(pulsed.samples + 0.01 * noise, RATE)
+        clean = Signal(gain * pulsed.samples, RATE)
+        want, broke, _ = reference_llr(clean, processed)
+        assert broke > 0
         assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_recursion_freezes_each_row_where_it_stopped(self):
@@ -234,8 +254,10 @@ class TestOracle:
                          [1.0, 0.9, -0.9, 0.2, 0.4],     # error negative at iteration 2
                          [1.0, 0.4, 0.1, -0.05, 0.02]])  # runs all four iterations
         want = [reference_levinson(r, 4) for r in rows]
-        assert [early for _, early in want] == [True, True, False]
-        np.testing.assert_allclose(_lpc(rows), [a for a, _ in want], rtol=0, atol=1e-12)
+        assert [broke for _, broke in want] == [True, True, False]
+        coefs, live = _lpc(rows)
+        np.testing.assert_allclose(coefs, [a for a, _ in want], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(live, [False, False, True])
 
     def test_silent_stretches_skipped(self, clean):
         samples = degraded(clean, 0.0, kind="sas").samples.copy()
