@@ -247,12 +247,15 @@ class TestReconstruct:
                 expected = frames_matrix_reconstruct(imfs, prof, grid, win)
                 assert out.tobytes() == expected.tobytes()
 
-    @staticmethod
-    def _peak_bytes(n, modes, step, seed):
-        """tracemalloc peak of one reconstruct call on random modes and cuts."""
-        rng = np.random.default_rng(seed)
+    def test_memory_independent_of_frame_overlap(self):
+        # 128 frames cover each sample; a frames matrix would take 128 x length.
+        # The (modes + 1) x length table of running sums and a few length-long
+        # rows fit the tighter bound; a stacked copy of the modes beside the
+        # table would not
+        n, modes = 16000, 10
+        rng = np.random.default_rng(3)
         imfs = random_imfs(rng, n, modes)
-        grid = frame_grid(n, 2048, step)
+        grid = frame_grid(n, 2048, 16)
         prof = selected_profile(grid, modes, rng.integers(0, modes + 1, grid.count))
         win = make_window("hann", grid.frame_len)
         tracemalloc.start()
@@ -261,18 +264,8 @@ class TestReconstruct:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak
-
-    def test_memory_independent_of_frame_overlap(self):
-        # 128 frames cover each sample; a frames matrix would take 128 x length
-        n, modes = 16000, 10
-        assert self._peak_bytes(n, modes, 16, 3) <= 4 * (modes + 1) * n * 8
-
-    def test_memory_holds_one_copy_of_the_modes(self):
-        # the (modes + 1) x length table of running sums and a few length-long
-        # rows; a stacked copy of the modes beside the table would not fit
-        n, modes = 16000, 10
-        assert self._peak_bytes(n, modes, 128, 4) <= (modes + 8) * n * 8
+        assert peak <= 4 * (modes + 1) * n * 8
+        assert peak <= (modes + 8) * n * 8
 
     def _setup(self, n=8192):
         x = make_speech_proxy(n=n, bursts=((0.05, 0.2), (0.3, 0.15)))

@@ -30,8 +30,8 @@ def degraded(clean, snr_db, seed=17, kind="gaussian"):
 
 
 def reference_levinson(r, order):
-    """Scalar Levinson-Durbin: LPC coefficients and whether the recursion
-    broke down (the prediction error reached <= 0, where it stopped)."""
+    """Scalar Levinson-Durbin: LPC coefficients and the iteration at which
+    the prediction error reached <= 0 and the recursion stopped, or None."""
     a = np.zeros(order + 1)
     a[0] = 1.0
     err = r[0]
@@ -41,33 +41,34 @@ def reference_levinson(r, order):
         a[1:i + 1] += k * a[i - 1::-1][:i]
         err *= 1.0 - k * k
         if err <= 0.0:
-            return a, True
-    return a, False
+            return a, i
+    return a, None
 
 
 def reference_llr(clean, processed, cfg=MetricConfig()):
     """The per-frame LLR loop, the oracle for `llr`.  Returns the score, the
-    number of recursions that broke down and the number of frames skipped;
-    a frame whose clean recursion broke down is skipped."""
+    (clean, processed) `reference_levinson` stop of every frame with power in
+    both, and the number of frames skipped; a frame whose clean recursion
+    broke down is skipped."""
     c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
     order = cfg.lpc_order
-    scores, broke, skipped = [], 0, 0
+    scores, stops, skipped = [], [], 0
     for c, p in zip(c_frames[active], p_frames[active]):
         rc = np.array([np.dot(c[: len(c) - k], c[k:]) for k in range(order + 1)])
         rp = np.array([np.dot(p[: len(p) - k], p[k:]) for k in range(order + 1)])
         if rc[0] <= 0.0 or rp[0] <= 0.0:
             skipped += 1
             continue
-        (ac, c_broke), (ap, p_broke) = reference_levinson(rc, order), reference_levinson(rp, order)
-        broke += c_broke + p_broke
+        (ac, c_stop), (ap, p_stop) = reference_levinson(rc, order), reference_levinson(rp, order)
+        stops.append((c_stop, p_stop))
         R = toeplitz(rc)
         num = ap @ R @ ap
         den = ac @ R @ ac
-        if c_broke or den <= 0.0 or num <= 0.0:
+        if c_stop is not None or den <= 0.0 or num <= 0.0:
             skipped += 1
             continue
         scores.append(np.clip(np.log(num / den), 0.0, 2.0))
-    return float(np.mean(scores)), broke, skipped
+    return float(np.mean(scores)), stops, skipped
 
 
 def with_pulses(signal, width):
@@ -232,8 +233,9 @@ class TestOracle:
         # frames holding only a narrow Gaussian pulse have autocorrelation
         # matrices so ill-conditioned that the prediction error rounds to <= 0
         processed = with_pulses(clean, 0.002)
-        want, broke, _ = reference_llr(clean, processed)
-        assert broke > 0
+        want, stops, _ = reference_llr(clean, processed)
+        early = sum(s is not None and s < MetricConfig().lpc_order for pair in stops for s in pair)
+        assert early > 0
         assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("gain", [1.0, 0.7])
@@ -245,8 +247,8 @@ class TestOracle:
         noise = np.random.default_rng(0).standard_normal(len(pulsed))
         processed = Signal(pulsed.samples + 0.01 * noise, RATE)
         clean = Signal(gain * pulsed.samples, RATE)
-        want, broke, _ = reference_llr(clean, processed)
-        assert broke > 0
+        want, stops, _ = reference_llr(clean, processed)
+        assert any(c_stop is not None for c_stop, _ in stops)
         assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_recursion_freezes_each_row_where_it_stopped(self):
@@ -254,7 +256,7 @@ class TestOracle:
                          [1.0, 0.9, -0.9, 0.2, 0.4],     # error negative at iteration 2
                          [1.0, 0.4, 0.1, -0.05, 0.02]])  # runs all four iterations
         want = [reference_levinson(r, 4) for r in rows]
-        assert [broke for _, broke in want] == [True, True, False]
+        assert [stop for _, stop in want] == [2, 2, None]
         coefs, live = _lpc(rows)
         np.testing.assert_allclose(coefs, [a for a, _ in want], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(live, [False, False, True])
