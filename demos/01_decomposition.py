@@ -6,7 +6,7 @@ Run:  python demos/01_decomposition.py
 import numpy as np
 
 from hhtalpha import Signal, eemd, emd
-from hhtalpha.emd import EemdConfig, EmdConfig
+from hhtalpha.emd import EemdConfig
 
 RATE = 8000
 
@@ -43,7 +43,7 @@ def main():
     print("\n=== Ensemble decomposition of an intermittent signal ===")
     gap = np.sin(2 * np.pi * 300 * t) * (np.sin(2 * np.pi * 2 * t) > 0.6)
     x = np.sin(2 * np.pi * 40 * t) + gap
-    cfg = EemdConfig(emd=EmdConfig(max_modes=8), ensemble_size=25, master_seed=3)
+    cfg = EemdConfig(max_modes=8, ensemble_size=25, master_seed=3)
     imfs = eemd(Signal(x, RATE), cfg)
     print(f"  modes produced: {imfs.mode_count}")
     corr = max(np.corrcoef(m, gap)[0, 1] for m in imfs.modes)

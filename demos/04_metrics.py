@@ -6,7 +6,6 @@ Run:  python demos/04_metrics.py
 import numpy as np
 
 from hhtalpha import Signal, fwsnrseg, llr, map_intelligibility, stoi
-from hhtalpha.metrics import STOI_MAP_A, STOI_MAP_B
 
 RATE = 16000
 
@@ -33,7 +32,7 @@ def main():
         degraded = Signal(clean.samples + gain * wgn, RATE)
         d = stoi(clean, degraded)
         print(f"  {snr:6d}  {llr(clean, degraded):6.3f}   {fwsnrseg(clean, degraded):7.2f}"
-              f"  {d:6.3f}   {map_intelligibility(d, STOI_MAP_A, STOI_MAP_B):6.1f}")
+              f"  {d:6.3f}   {map_intelligibility(d):6.1f}")
 
     print("\n=== Edge cases ===")
     print(f"  identity:          LLR {llr(clean, clean):.3f}, "
@@ -45,7 +44,7 @@ def main():
 
     print("\n=== Logistic mapping from correlation to percent correct ===")
     for d in (0.0, 0.25, 0.5, 0.69591, 0.85, 1.0):
-        print(f"  d = {d:7.5f} -> {map_intelligibility(d, STOI_MAP_A, STOI_MAP_B):6.2f} %")
+        print(f"  d = {d:7.5f} -> {map_intelligibility(d):6.2f} %")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,18 @@ import numpy as np
 from .enhance import EnhanceConfig, analyse
 from .enhance import enhance as run_enhance
 from .metrics import evaluate
-from .emd import EemdConfig, EmdConfig, eemd
+from .emd import EemdConfig, eemd
 from .signal import Signal, read_wav, write_wav
 from .stable import sample_sas
+
+# The library's settings are these flags; their defaults are the config defaults.
+_EEMD = EemdConfig()
+_ENHANCE = EnhanceConfig()
 
 
 def _eemd_config(args) -> EemdConfig:
     return EemdConfig(
-        emd=EmdConfig(max_modes=args.modes),
+        max_modes=args.modes,
         ensemble_size=args.ensemble,
         ensemble_snr_db=args.ensemble_snr,
         master_seed=args.seed,
@@ -25,11 +29,14 @@ def _eemd_config(args) -> EemdConfig:
 
 
 def _add_eemd_flags(p):
-    p.add_argument("--ensemble", type=int, default=50, help="ensemble size N (default 50)")
-    p.add_argument("--ensemble-snr", type=float, default=30.0,
-                   help="ensemble noise SNR in dB (default 30)")
-    p.add_argument("--modes", type=int, default=10, help="number of modes M (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--ensemble", type=int, default=_EEMD.ensemble_size,
+                   help="ensemble size N (default %(default)s)")
+    p.add_argument("--ensemble-snr", type=float, default=_EEMD.ensemble_snr_db,
+                   help="ensemble noise SNR in dB (default %(default)s)")
+    p.add_argument("--modes", type=int, default=_EEMD.max_modes,
+                   help="number of modes M (default %(default)s)")
+    p.add_argument("--seed", type=int, default=_EEMD.master_seed,
+                   help="master seed (default %(default)s)")
 
 
 def _enhance_config(args) -> EnhanceConfig:
@@ -44,12 +51,17 @@ def _enhance_config(args) -> EnhanceConfig:
 
 
 def _add_selection_flags(p):
-    p.add_argument("--frame", type=int, default=10240, help="frame length T_d (default 10240)")
-    p.add_argument("--step", type=int, default=128, help="frame step S_d (default 128)")
-    p.add_argument("--mu", type=float, default=0.8, help="threshold scale mu (default 0.8)")
-    p.add_argument("--alpha-min", type=float, default=1.1,
-                   help="threshold floor alpha_min (default 1.1)")
-    p.add_argument("--threshold-mode", choices=["floor", "literal-min"], default="floor")
+    p.add_argument("--frame", type=int, default=_ENHANCE.frame_len,
+                   help="frame length T_d (default %(default)s)")
+    p.add_argument("--step", type=int, default=_ENHANCE.step,
+                   help="frame step S_d (default %(default)s)")
+    p.add_argument("--mu", type=float, default=_ENHANCE.mu,
+                   help="threshold scale mu (default %(default)s)")
+    p.add_argument("--alpha-min", type=float, default=_ENHANCE.alpha_min,
+                   help="threshold floor alpha_min (default %(default)s)")
+    p.add_argument("--threshold-mode", choices=["floor", "literal-min"],
+                   default=_ENHANCE.threshold_combine.replace("_", "-"),
+                   help="threshold combination (default %(default)s)")
 
 
 def cmd_enhance(args) -> int:

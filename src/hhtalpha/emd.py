@@ -7,7 +7,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,32 +17,24 @@ from .signal import Signal
 
 # Shortest signal `emd` and `eemd` decompose.
 MIN_LENGTH = 16
-
-
-@dataclass(frozen=True)
-class EmdConfig:
-    max_modes: int = 10
-    sift_sd_threshold: float = 0.2
-    max_sift_iters: int = 100
-    boundary_pad_extrema: int = 2
-
-    def __post_init__(self):
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be >= 1")
-        if self.sift_sd_threshold <= 0:
-            raise ValueError("sift_sd_threshold must be positive")
-        if self.max_sift_iters < 1:
-            raise ValueError("max_sift_iters must be >= 1")
+# Sifting stops once SD (Huang et al. 1998) falls below SIFT_SD_THRESHOLD, or
+# after MAX_SIFT_ITERS passes; envelopes mirror BOUNDARY_PAD_EXTREMA extrema
+# beyond each end of the signal.
+SIFT_SD_THRESHOLD = 0.2
+MAX_SIFT_ITERS = 100
+BOUNDARY_PAD_EXTREMA = 2
 
 
 @dataclass(frozen=True)
 class EemdConfig:
-    emd: EmdConfig = field(default_factory=EmdConfig)
+    max_modes: int = 10
     ensemble_size: int = 50
     ensemble_snr_db: float = 30.0
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.max_modes < 1:
+            raise ValueError("max_modes must be >= 1")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
 
@@ -174,16 +166,16 @@ def _mean_envelope(x: np.ndarray, pad: int):
     return 0.5 * (upper + lower)
 
 
-def sift(x: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
+def sift(x: np.ndarray) -> np.ndarray | None:
     """Extract one oscillatory mode by repeated mean-envelope subtraction.
 
     Stops when SD = sum((h_prev - h)**2) / sum(h_prev**2) drops below
-    cfg.sift_sd_threshold or cfg.max_sift_iters is reached.  Returns None
-    when x has fewer than 2 maxima or 2 minima, so no mode can be extracted.
+    SIFT_SD_THRESHOLD or MAX_SIFT_ITERS is reached.  Returns None when x has
+    fewer than 2 maxima or 2 minima, so no mode can be extracted.
     """
     h = np.array(x, dtype=np.float64)
-    for i in range(cfg.max_sift_iters):
-        mean = _mean_envelope(h, cfg.boundary_pad_extrema)
+    for i in range(MAX_SIFT_ITERS):
+        mean = _mean_envelope(h, BOUNDARY_PAD_EXTREMA)
         if mean is None:
             if i == 0:
                 return None
@@ -193,7 +185,7 @@ def sift(x: np.ndarray, cfg: EmdConfig) -> np.ndarray | None:
             break
         sd = np.sum(mean * mean) / denom
         h = h - mean
-        if sd < cfg.sift_sd_threshold:
+        if sd < SIFT_SD_THRESHOLD:
             break
     return h
 
@@ -203,19 +195,21 @@ def _check_length(signal: Signal) -> None:
         raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
 
 
-def emd(signal: Signal, cfg: EmdConfig = EmdConfig()) -> ImfSet:
+def emd(signal: Signal, max_modes: int = 10) -> ImfSet:
     """Decompose a signal into oscillatory modes plus a residual trend.
 
-    Modes are extracted from the running residual until cfg.max_modes are
-    found or the residual has fewer than 2 maxima or 2 minima.  The sum of
-    all modes plus the residual reproduces the input to round-off.
+    Modes are extracted from the running residual until max_modes are found
+    or the residual has fewer than 2 maxima or 2 minima.  The sum of all
+    modes plus the residual reproduces the input to round-off.
     """
+    if max_modes < 1:
+        raise ValueError("max_modes must be >= 1")
     _check_length(signal)
     residual = signal.samples.copy()
-    modes = np.empty((cfg.max_modes, len(residual)))
+    modes = np.empty((max_modes, len(residual)))
     count = 0
-    while count < cfg.max_modes:
-        imf = sift(residual, cfg)
+    while count < max_modes:
+        imf = sift(residual)
         if imf is None:
             break
         modes[count] = imf
@@ -248,7 +242,7 @@ class _Trials:
             rng = np.random.default_rng(np.random.SeedSequence([self.cfg.master_seed, n]))
             x = self.signal.samples
             noisy = x + self.noise_std * rng.standard_normal(len(x))
-            rows = emd(Signal(noisy, self.signal.sample_rate), self.cfg.emd).modes
+            rows = emd(Signal(noisy, self.signal.sample_rate), self.cfg.max_modes).modes
         finally:
             # a trial that raised still takes its turn, so later trials never wait on it
             with self.cond:
@@ -316,10 +310,10 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
         noise_std = std_x * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
     if noise_std == 0.0:
         # every trial would be identical; the ensemble degenerates to plain EMD
-        return emd(signal, cfg.emd)
+        return emd(signal, cfg.max_modes)
     # anonymous shared memory, mapped before any fork, so the workers' sums land here
-    shared = mmap.mmap(-1, cfg.emd.max_modes * len(x) * np.dtype(np.float64).itemsize)
-    acc = np.frombuffer(shared, dtype=np.float64).reshape(cfg.emd.max_modes, len(x))
+    shared = mmap.mmap(-1, cfg.max_modes * len(x) * np.dtype(np.float64).itemsize)
+    acc = np.frombuffer(shared, dtype=np.float64).reshape(cfg.max_modes, len(x))
     workers = _worker_count(cfg.ensemble_size)
     if workers == 1:
         trials = _Trials(signal, noise_std, cfg, acc, SimpleNamespace(value=0), threading.Condition())

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emd import EemdConfig, ImfSet, eemd
-from .signal import FrameGrid, Signal, Window, frame_grid, frame_order_stats, make_window, overlap_add
-from .stable import MIN_SAMPLES, AlphaLookup, default_lookup, hazen_ranks, nu_from_order_stats
+from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add
+from .stable import MIN_SAMPLES, default_lookup, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
 # padding) are scored as maximally noise-like.
@@ -29,7 +29,6 @@ class EnhanceConfig:
     mu: float = 0.8
     alpha_min: float = 1.1
     threshold_combine: str = "floor"
-    window: str = "hann"
 
     def __post_init__(self):
         if not (0.0 < self.mu <= 1.0):
@@ -82,16 +81,14 @@ class AlphaProfile:
                 writer.writerow(row)
 
 
-def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid,
-                  lookup: AlphaLookup | None = None) -> AlphaProfile:
+def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid) -> AlphaProfile:
     """Estimate the impulsiveness index per frame for every mode and for the
     noisy samples themselves.  Degenerate frames get the sentinel value 2.0.
 
     Each sequence's frames are scored from their order statistics, read by
     one sliding sorted window, so memory is O(length + frame_len).
     """
-    if lookup is None:
-        lookup = default_lookup()
+    lookup = default_lookup()
     if imfs.source_len != len(noisy):
         raise ValueError("mode length does not match the noisy signal")
     if grid.total_len != len(noisy):
@@ -142,9 +139,8 @@ def apply_selection(profile: AlphaProfile, cfg: EnhanceConfig) -> AlphaProfile:
     return profile
 
 
-def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
-                window: Window) -> np.ndarray:
-    """Overlap-add, frame by frame, the windowed sum of the kept mode prefix.
+def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid) -> np.ndarray:
+    """Overlap-add, frame by frame, the Hann-windowed sum of the kept mode prefix.
 
     Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
     residual trend is never included.  Output length equals the source
@@ -157,22 +153,19 @@ def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid,
     # row z holds modes 1..z, so each frame's cut index names its source row
     prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
     np.cumsum(imfs.modes, axis=0, out=prefix[1:])
-    return overlap_add(prefix, profile.cut_index, grid, window)
+    return overlap_add(prefix, profile.cut_index, grid, hann_window(grid.frame_len))
 
 
-def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
-            lookup: AlphaLookup | None = None):
+def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
     """Decompose, profile and select; returns (ImfSet, FrameGrid, filled-in AlphaProfile)."""
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
     imfs = eemd(noisy, cfg.eemd)
     grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
-    return imfs, grid, apply_selection(profile_alpha(imfs, noisy.samples, grid, lookup), cfg)
+    return imfs, grid, apply_selection(profile_alpha(imfs, noisy.samples, grid), cfg)
 
 
-def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig(),
-            lookup: AlphaLookup | None = None):
+def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
     """Full pipeline; returns (enhanced signal, filled-in AlphaProfile)."""
-    window = make_window(cfg.window, cfg.frame_len)
-    imfs, grid, profile = analyse(noisy, cfg, lookup)
-    return Signal(reconstruct(imfs, profile, grid, window), noisy.sample_rate), profile
+    imfs, grid, profile = analyse(noisy, cfg)
+    return Signal(reconstruct(imfs, profile, grid), noisy.sample_rate), profile

@@ -22,35 +22,29 @@ STOI_MAP_B = 9.36
 _EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    frame_ms: float = 32.0
-    hop_ms: float = 16.0
-    lpc_order: int = 16
-    n_bands: int = 25                  # fwSNRseg triangular bands
-    band_lo_hz: float = 50.0
-    band_hi_hz: float = 8000.0
-    active_floor_db: float = 40.0      # frames this far below peak are skipped
-    # envelope-correlation intelligibility constants
-    stoi_rate: int = 10000
-    stoi_frame: int = 256
-    stoi_hop: int = 128
-    stoi_nfft: int = 512
-    stoi_bands: int = 15
-    stoi_min_freq: float = 150.0
-    stoi_seg_frames: int = 30
-    stoi_clip_db: float = -15.0
-    stoi_dyn_range_db: float = 40.0
-
-    def __post_init__(self):
-        for name in ("frame_ms", "hop_ms", "stoi_rate", "stoi_frame", "stoi_hop",
-                     "stoi_nfft", "stoi_bands", "stoi_seg_frames"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.lpc_order < 1:
-            raise ValueError("lpc_order must be >= 1")
-        if self.stoi_nfft < self.stoi_frame:
-            raise ValueError("stoi_nfft must be at least stoi_frame")
+# LLR and fwSNRseg: 32 ms Hann frames every 16 ms, LPC order 16, 25
+# triangular bands over 50-8000 Hz; frames more than 40 dB below the loudest
+# clean frame are skipped.
+FRAME_MS = 32.0
+HOP_MS = 16.0
+LPC_ORDER = 16
+N_BANDS = 25
+BAND_LO_HZ = 50.0
+BAND_HI_HZ = 8000.0
+ACTIVE_FLOOR_DB = 40.0
+# Envelope-correlation intelligibility (Taal et al. 2011): 10 kHz, 256-sample
+# frames every 128 samples with a 512-point DFT, 15 one-third-octave bands
+# from 150 Hz, 30-frame segments clipped at -15 dB, and frames more than
+# 40 dB below the loudest removed as silent.
+STOI_RATE = 10000
+STOI_FRAME = 256
+STOI_HOP = 128
+STOI_NFFT = 512
+STOI_BANDS = 15
+STOI_MIN_FREQ = 150.0
+STOI_SEG_FRAMES = 30
+STOI_CLIP_DB = -15.0
+STOI_DYN_RANGE_DB = 40.0
 
 
 @dataclass
@@ -67,9 +61,9 @@ class MetricReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def map_intelligibility(d: float, a: float, b: float) -> float:
+def map_intelligibility(d: float) -> float:
     """Logistic mapping from an objective score to an intelligibility %."""
-    return 100.0 / (1.0 + np.exp(a * d + b))
+    return 100.0 / (1.0 + np.exp(STOI_MAP_A * d + STOI_MAP_B))
 
 
 def _check_pair(clean: Signal, processed: Signal) -> None:
@@ -79,22 +73,21 @@ def _check_pair(clean: Signal, processed: Signal) -> None:
         raise ValueError("clean and processed sample rates differ")
 
 
-def _frame_pair(clean: Signal, processed: Signal, cfg: MetricConfig):
-    """Windowed frame matrices plus the active-frame mask (clean energy
-    within cfg.active_floor_db of the loudest frame)."""
-    n = int(round(cfg.frame_ms * clean.sample_rate / 1000.0))
-    hop = int(round(cfg.hop_ms * clean.sample_rate / 1000.0))
+def _active_frames(clean: Signal, processed: Signal):
+    """Windowed (clean, processed) frame matrices of the active frames only:
+    those whose clean energy is within ACTIVE_FLOOR_DB of the loudest frame."""
+    n = int(round(FRAME_MS * clean.sample_rate / 1000.0))
+    hop = int(round(HOP_MS * clean.sample_rate / 1000.0))
     if n < 1 or hop < 1:
-        raise ValueError(f"frame_ms and hop_ms must each span at least one sample "
+        raise ValueError(f"analysis frames and hops must each span at least one sample "
                          f"at {clean.sample_rate} Hz")
     if len(clean) < n:
         raise ValueError("signal shorter than one analysis frame")
     win = np.hanning(n)
     c = sliding_window_view(clean.samples, n)[::hop] * win
-    p = sliding_window_view(processed.samples, n)[::hop] * win
     energy = np.sum(c * c, axis=1)
-    active = energy >= energy.max() * 10.0 ** (-cfg.active_floor_db / 10.0)
-    return c, p, active
+    active = energy >= energy.max() * 10.0 ** (-ACTIVE_FLOOR_DB / 10.0)
+    return c[active], sliding_window_view(processed.samples, n)[::hop][active] * win
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -133,7 +126,7 @@ def _lpc(r: np.ndarray):
     return a, live
 
 
-def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -> float:
+def llr(clean: Signal, processed: Signal) -> float:
     """LPC log-likelihood ratio, averaged over active frames.
 
     Per frame: log(a_p R_c a_p' / a_c R_c a_c'), clamped to [0, 2], with R_c
@@ -143,18 +136,17 @@ def llr(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) ->
     prediction error reached <= 0, so a_c R_c a_c' is round-off).
     """
     _check_pair(clean, processed)
-    c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
-    order = cfg.lpc_order
-    if c_frames.shape[1] <= order:
+    c_frames, p_frames = _active_frames(clean, processed)
+    if c_frames.shape[1] <= LPC_ORDER:
         raise ValueError("analysis frame shorter than the LPC order")
-    rc = _autocorr(c_frames[active], order)
-    rp = _autocorr(p_frames[active], order)
+    rc = _autocorr(c_frames, LPC_ORDER)
+    rp = _autocorr(p_frames, LPC_ORDER)
     usable = (rc[:, 0] > 0.0) & (rp[:, 0] > 0.0)
     rc, rp = rc[usable], rp[usable]
     coefs, live = _lpc(np.concatenate([rc, rp]))
     # a R_c a' from the Toeplitz structure: r_0 sum(a_i^2) + 2 sum_k r_k sum_i a_i a_(i+k)
-    weights = rc * np.r_[1.0, np.full(order, 2.0)]
-    forms = _autocorr(coefs, order)
+    weights = rc * np.r_[1.0, np.full(LPC_ORDER, 2.0)]
+    forms = _autocorr(coefs, LPC_ORDER)
     den = np.sum(forms[: len(rc)] * weights, axis=1)
     num = np.sum(forms[len(rc):] * weights, axis=1)
     scored = (num > 0.0) & (den > 0.0) & live[: len(rc)]
@@ -181,7 +173,7 @@ def _triangular_bank(n_bands: int, lo: float, hi: float, freqs: np.ndarray) -> n
     return bank
 
 
-def fwsnrseg(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -> float:
+def fwsnrseg(clean: Signal, processed: Signal) -> float:
     """Frequency-weighted segmental SNR in dB.
 
     Band magnitudes from triangular filters over the power spectrum; band
@@ -189,13 +181,13 @@ def fwsnrseg(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig(
     averaged over active frames.  Identical inputs score the 35 dB ceiling.
     """
     _check_pair(clean, processed)
-    c_frames, p_frames, active = _frame_pair(clean, processed, cfg)
+    c_frames, p_frames = _active_frames(clean, processed)
     n = c_frames.shape[1]
     freqs = np.fft.rfftfreq(n, 1.0 / clean.sample_rate)
-    hi = min(cfg.band_hi_hz, clean.sample_rate / 2.0)
-    bank = _triangular_bank(cfg.n_bands, cfg.band_lo_hz, hi, freqs)
-    cs = np.abs(np.fft.rfft(c_frames[active], axis=1))
-    ps = np.abs(np.fft.rfft(p_frames[active], axis=1))
+    hi = min(BAND_HI_HZ, clean.sample_rate / 2.0)
+    bank = _triangular_bank(N_BANDS, BAND_LO_HZ, hi, freqs)
+    cs = np.abs(np.fft.rfft(c_frames, axis=1))
+    ps = np.abs(np.fft.rfft(p_frames, axis=1))
     xb = np.sqrt(cs ** 2 @ bank.T)
     yb = np.sqrt(ps ** 2 @ bank.T)
     err = (xb - yb) ** 2
@@ -209,14 +201,14 @@ def fwsnrseg(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig(
     return float(np.mean(frame_scores))
 
 
-def _octave_band_matrix(cfg: MetricConfig) -> np.ndarray:
+def _octave_band_matrix() -> np.ndarray:
     """Binary one-third-octave band assignment over the rfft bins."""
-    freqs = np.fft.rfftfreq(cfg.stoi_nfft, 1.0 / cfg.stoi_rate)
-    centers = cfg.stoi_min_freq * 2.0 ** (np.arange(cfg.stoi_bands) / 3.0)
+    freqs = np.fft.rfftfreq(STOI_NFFT, 1.0 / STOI_RATE)
+    centers = STOI_MIN_FREQ * 2.0 ** (np.arange(STOI_BANDS) / 3.0)
     lo = centers / 2.0 ** (1.0 / 6.0)
     hi = centers * 2.0 ** (1.0 / 6.0)
-    mat = np.zeros((cfg.stoi_bands, len(freqs)))
-    for j in range(cfg.stoi_bands):
+    mat = np.zeros((STOI_BANDS, len(freqs)))
+    for j in range(STOI_BANDS):
         mat[j, (freqs >= lo[j]) & (freqs < hi[j])] = 1.0
     return mat
 
@@ -235,18 +227,18 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.ravel()[: (count - 1) * hop + n]
 
 
-def _remove_silent_frames(x: np.ndarray, y: np.ndarray, cfg: MetricConfig):
-    n, hop = cfg.stoi_frame, cfg.stoi_hop
+def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
+    n, hop = STOI_FRAME, STOI_HOP
     win = np.hanning(n + 2)[1:-1]
     xf = sliding_window_view(x, n)[::hop] * win
     yf = sliding_window_view(y, n)[::hop] * win
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
     # the loudest frame always passes, so at least one frame is kept
-    keep = energy > energy.max() - cfg.stoi_dyn_range_db
+    keep = energy > energy.max() - STOI_DYN_RANGE_DB
     return _overlap_add(xf[keep], hop), _overlap_add(yf[keep], hop)
 
 
-def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -> float:
+def stoi(clean: Signal, processed: Signal) -> float:
     """Short-time envelope-correlation intelligibility score in [0, 1].
 
     Both signals are resampled to 10 kHz; silent frames are removed; band
@@ -257,21 +249,20 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
     _check_pair(clean, processed)
     if clean.duration < 0.5:
         raise ValueError("signals shorter than 0.5 s are not supported")
-    x = resample(clean, cfg.stoi_rate).samples
-    y = resample(processed, cfg.stoi_rate).samples
-    x, y = _remove_silent_frames(x, y, cfg)
-    n, hop = cfg.stoi_frame, cfg.stoi_hop
-    if len(x) < n + cfg.stoi_seg_frames * hop:
+    x = resample(clean, STOI_RATE).samples
+    y = resample(processed, STOI_RATE).samples
+    x, y = _remove_silent_frames(x, y)
+    n, hop, N = STOI_FRAME, STOI_HOP, STOI_SEG_FRAMES
+    if len(x) < n + N * hop:
         raise ValueError("too little active signal for the segment analysis")
     win = np.hanning(n + 2)[1:-1]
-    X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, cfg.stoi_nfft, axis=1)
-    Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, cfg.stoi_nfft, axis=1)
-    octmat = _octave_band_matrix(cfg)
+    X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, STOI_NFFT, axis=1)
+    Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, STOI_NFFT, axis=1)
+    octmat = _octave_band_matrix()
     # band envelopes, shape (bands, frames)
     Xb = np.sqrt(octmat @ (np.abs(X) ** 2).T)
     Yb = np.sqrt(octmat @ (np.abs(Y) ** 2).T)
-    N = cfg.stoi_seg_frames
-    clip = 10.0 ** (-cfg.stoi_clip_db / 20.0)
+    clip = 10.0 ** (-STOI_CLIP_DB / 20.0)
     # every N-frame segment at once, shape (bands, segments, N)
     xs = sliding_window_view(Xb, N, axis=1)
     ys = sliding_window_view(Yb, N, axis=1)
@@ -287,8 +278,7 @@ def stoi(clean: Signal, processed: Signal, cfg: MetricConfig = MetricConfig()) -
     return float(np.clip(d, 0.0, 1.0))
 
 
-def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi"),
-             cfg: MetricConfig = MetricConfig()) -> MetricReport:
+def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")) -> MetricReport:
     """Compute the requested metrics for a clean/processed pair."""
     if not which:
         raise ValueError("no metric requested")
@@ -298,10 +288,10 @@ def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")
     report = MetricReport()
     for name in which:
         if name == "llr":
-            report.llr = llr(clean, processed, cfg)
+            report.llr = llr(clean, processed)
         elif name == "fwsnrseg":
-            report.fwsnrseg_db = fwsnrseg(clean, processed, cfg)
+            report.fwsnrseg_db = fwsnrseg(clean, processed)
         elif name == "stoi":
-            report.stoi = stoi(clean, processed, cfg)
-            report.stoi_pct = float(map_intelligibility(report.stoi, STOI_MAP_A, STOI_MAP_B))
+            report.stoi = stoi(clean, processed)
+            report.stoi_pct = float(map_intelligibility(report.stoi))
     return report

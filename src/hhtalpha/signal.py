@@ -4,7 +4,7 @@ windowing and overlap-add."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,35 +55,14 @@ class FrameGrid:
     total_len: int
 
 
-@dataclass(frozen=True)
-class Window:
-    """Precomputed window coefficients for one frame length."""
+def hann_window(length: int) -> np.ndarray:
+    """Half-sample-centred Hann window, w[k] = 0.5 * (1 - cos(2*pi*(k + 0.5)/length)).
 
-    kind: str
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def make_window(kind: str, length: int) -> Window:
-    """Build a window of the given kind ("hann" or "rectangular").
-
-    The Hann window uses half-sample-centred sampling,
-    w[k] = 0.5 * (1 - cos(2*pi*(k + 0.5)/length)), which is symmetric,
-    strictly positive, and sums to a constant under any hop frame_len/k
-    with integer k >= 2 (at hop = frame_len the sum is the window itself).
+    Symmetric, strictly positive, and sums to a constant under any hop
+    length/k with integer k >= 2 (at hop = length the sum is the window itself).
     """
-    if length <= 0:
-        raise ValueError("window length must be positive")
-    if kind == "hann":
-        k = np.arange(length)
-        values = 0.5 * (1.0 - np.cos(2.0 * np.pi * (k + 0.5) / length))
-    elif kind == "rectangular":
-        values = np.ones(length)
-    else:
-        raise ValueError(f"unknown window kind: {kind!r}")
-    return Window(kind=kind, values=values)
+    k = np.arange(length)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * (k + 0.5) / length))
 
 
 def frame_grid(total_len: int, frame_len: int, step: int) -> FrameGrid:
@@ -153,7 +132,7 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     return out
 
 
-def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window) -> np.ndarray:
+def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
     """Overlap-add windowed frames, each cut from its chosen source row.
 
     Frame q is window * sources[choice[q]] over [q*step, q*step + frame_len),
@@ -167,14 +146,14 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: Window) ->
         raise ValueError("sources must be a (rows, grid.total_len) array")
     if np.shape(choice) != (grid.count,):
         raise ValueError("choice needs one source row per frame of the grid")
-    if len(window.values) != grid.frame_len:
+    if len(window) != grid.frame_len:
         raise ValueError("window length does not match grid.frame_len")
     acc = np.zeros(grid.total_len)
     overlap = np.zeros(grid.total_len)
     for q, row in enumerate(choice):
         span = slice(q * grid.step, q * grid.step + grid.frame_len)
         chunk = sources[row, span]
-        w = window.values[: len(chunk)]
+        w = window[: len(chunk)]
         acc[span] += chunk * w
         overlap[span] += w
     return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap >= OVERLAP_EPS)

@@ -146,22 +146,20 @@ def nu_alpha(samples):
     return nu_from_order_stats(stats, gamma)
 
 
-def estimate_alpha(samples, lookup: AlphaLookup | None = None) -> AlphaEstimate:
+def estimate_alpha(samples) -> AlphaEstimate:
     """Estimate the characteristic exponent from the quantile spread ratio.
 
     Uses the symmetric-case table; the result is clamped to [0.5, 2.0].
     Scale and shift invariant by construction.  Raises ValueError for a NaN
     or infinite sample, and for zero interquartile range.
     """
-    if lookup is None:
-        lookup = default_lookup()
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite input: every sample must be finite")
     nu = nu_alpha(samples)
     if np.isnan(nu):
         raise ValueError("degenerate input: zero interquartile range")
-    return AlphaEstimate(alpha=float(lookup.alpha_from_nu(nu)), nu_alpha=nu,
+    return AlphaEstimate(alpha=float(default_lookup().alpha_from_nu(nu)), nu_alpha=nu,
                          sample_count=samples.size)
 
 

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hhtalpha import Signal, estimate_alpha, read_wav, write_wav
-from hhtalpha.cli import main
+from hhtalpha import EnhanceConfig, Signal, estimate_alpha, read_wav, write_wav
+from hhtalpha.cli import _enhance_config, build_parser, main
 
 from conftest import make_speech_proxy
 
@@ -212,11 +212,33 @@ class TestEnhanceCommand:
         parser_args = ["enhance", "--in", str(clean_wav), "--out",
                        str(tmp_path / "o.wav"), "--mu", "0.8", "--alpha-min", "1.1",
                        "--frame", "10240", "--step", "128"]
-        from hhtalpha.cli import build_parser
         args = build_parser().parse_args(parser_args)
         assert args.mu == 0.8 and args.alpha_min == 1.1
         assert args.frame == 10240 and args.step == 128
         assert args.ensemble == 50 and args.modes == 10
+
+    def test_every_setting_is_one_enhance_flag(self):
+        # every config field is set by exactly one flag, whose default is the field's default
+        other_values = {"--modes": 7, "--ensemble": 3, "--ensemble-snr": 20.0, "--seed": 9,
+                        "--frame": 4096, "--step": 64, "--mu": 0.5, "--alpha-min": 1.3,
+                        "--threshold-mode": "literal-min"}
+
+        def settings(cfg):
+            return {**{f"eemd.{k}": v for k, v in vars(cfg.eemd).items()},
+                    **{k: v for k, v in vars(cfg).items() if k != "eemd"}}
+
+        def parsed(*flags):
+            argv = ["enhance", "--in", "a.wav", "--out", "b.wav", *map(str, flags)]
+            return settings(_enhance_config(build_parser().parse_args(argv)))
+
+        default = parsed()
+        assert default == settings(EnhanceConfig())
+        set_by_flags = []
+        for flag, value in other_values.items():
+            changed = [k for k, v in parsed(flag, value).items() if v != default[k]]
+            assert len(changed) == 1, (flag, changed)
+            set_by_flags += changed
+        assert sorted(set_by_flags) == sorted(default)
 
     def test_missing_file_fails(self, tmp_path):
         assert run("enhance", "--in", tmp_path / "nope.wav",

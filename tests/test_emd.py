@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from hhtalpha import EemdConfig, EmdConfig, Signal, eemd, emd, sift
+from hhtalpha import EemdConfig, Signal, eemd, emd, sift
 from hhtalpha.emd import ImfSet, envelope, find_extrema
 
 # the package re-exports the function `emd`, which shadows the submodule name
@@ -39,11 +39,11 @@ def reference_envelope(indices, values, length, pad):
 def reference_eemd(x, rate, cfg):
     """The serial ensemble loop, the oracle for `eemd`'s modes and residual bytes."""
     noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
-    acc = np.zeros((cfg.emd.max_modes, len(x)))
+    acc = np.zeros((cfg.max_modes, len(x)))
     produced = 0
     for n in range(cfg.ensemble_size):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
-        imfs = emd(Signal(x + noise_std * rng.standard_normal(len(x)), rate), cfg.emd)
+        imfs = emd(Signal(x + noise_std * rng.standard_normal(len(x)), rate), cfg.max_modes)
         produced = max(produced, imfs.mode_count)
         acc[: imfs.mode_count] += imfs.modes
     return acc[:produced] / cfg.ensemble_size, x - acc[:produced].sum(axis=0) / cfg.ensemble_size
@@ -174,28 +174,28 @@ class TestEnvelope:
 class TestSift:
     def test_pure_sine_is_single_mode(self):
         x = tone(100)
-        imf = sift(x, EmdConfig())
+        imf = sift(x)
         assert np.corrcoef(imf, x)[0, 1] > 0.99
         residual = x - imf
         assert np.sqrt(np.mean(residual ** 2)) < 0.1 * np.sqrt(np.mean(x ** 2))
 
     def test_two_tone_first_mode(self):
         x = tone(50) + tone(500)
-        imf = sift(x, EmdConfig())
+        imf = sift(x)
         assert np.corrcoef(imf, tone(500))[0, 1] > 0.95
 
-    def test_single_pass_when_threshold_met(self):
-        # huge threshold: exactly one mean-envelope subtraction happens
-        x = tone(100)
-        cfg = EmdConfig(sift_sd_threshold=1e9)
-        imf = sift(x, cfg)
-        from hhtalpha.emd import _mean_envelope
-        expected = x - _mean_envelope(x, cfg.boundary_pad_extrema)
+    def test_single_pass_when_threshold_met(self, monkeypatch):
+        # huge threshold: exactly one mean-envelope subtraction happens, where
+        # the default threshold takes two on this input
+        monkeypatch.setattr(emd_module, "SIFT_SD_THRESHOLD", 1e9)
+        x = tone(50) + tone(500)
+        imf = sift(x)
+        expected = x - emd_module._mean_envelope(x, emd_module.BOUNDARY_PAD_EXTREMA)
         np.testing.assert_allclose(imf, expected)
 
     @pytest.mark.parametrize("x", [np.linspace(0, 1, 100), np.sin(np.linspace(0, 3 * np.pi, 100))])
     def test_no_mode_without_two_of_each_extremum(self, x):
-        assert sift(x, EmdConfig()) is None
+        assert sift(x) is None
 
 
 class TestImfSet:
@@ -237,6 +237,12 @@ class TestEmd:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             emd(Signal(np.zeros(8), 1))
+
+    def test_no_modes_requested_rejected(self):
+        with pytest.raises(ValueError, match="max_modes"):
+            emd(Signal(tone(100), 8000), 0)
+        with pytest.raises(ValueError, match="max_modes"):
+            EemdConfig(max_modes=0)
 
     def test_mode_ordering_zero_crossings(self):
         rng = np.random.default_rng(11)
@@ -345,13 +351,13 @@ class TestEemd:
         started = multiprocessing.get_context("fork").Value("i", 0)
         original = emd_module.emd
 
-        def failing_emd(sig, cfg):
+        def failing_emd(sig, max_modes):
             with started.get_lock():
                 started.value += 1
                 n = started.value
             if n == 4:
                 raise RuntimeError("trial failed")
-            return original(sig, cfg)
+            return original(sig, max_modes)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(emd_module, "emd", failing_emd)
