@@ -32,11 +32,11 @@ def main():
         print(f"  n = {n:6d}: std = {ests.std():.3f}")
 
     # --- 4. The inversion table itself --------------------------------------
-    print("\n=== Bundled inversion table ===")
-    lookup = default_lookup()
-    print(f"  provenance: {lookup.provenance}, {len(lookup.alpha)} rows")
-    print("  alpha:", np.round(lookup.alpha[:5], 2), "...")
-    print("  nu:   ", np.round(lookup.nu[:5], 3), "...")
+    print("\n=== McCulloch's symmetric inversion table ===")
+    alpha, nu = default_lookup()
+    print(f"  {len(alpha)} rows")
+    print("  alpha:", np.round(alpha[:5], 2), "...")
+    print("  nu:   ", np.round(nu[:5], 3), "...")
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ from .emd import EemdConfig, ImfSet, eemd, emd, sift
 from .enhance import AlphaProfile, EnhanceConfig, analyse, enhance, profile_alpha, reconstruct, select_cut, threshold
 from .metrics import MetricReport, evaluate, fwsnrseg, llr, map_intelligibility, stoi
 from .signal import FrameGrid, Signal, frame_grid, hann_window, overlap_add, read_wav, resample, write_wav
-from .stable import AlphaEstimate, AlphaLookup, build_lookup, default_lookup, estimate_alpha, nu_alpha, sample_sas
+from .stable import AlphaEstimate, alpha_from_nu, default_lookup, estimate_alpha, nu_alpha, sample_sas
 
 __all__ = [
-    "AlphaEstimate", "AlphaLookup", "AlphaProfile", "EemdConfig", "EnhanceConfig",
-    "FrameGrid", "ImfSet", "MetricReport", "Signal", "analyse", "build_lookup",
-    "default_lookup", "eemd", "emd", "enhance", "estimate_alpha", "evaluate",
-    "frame_grid", "fwsnrseg", "hann_window", "llr", "map_intelligibility",
-    "nu_alpha", "overlap_add", "profile_alpha", "read_wav", "reconstruct",
-    "resample", "sample_sas", "select_cut", "sift", "stoi", "threshold", "write_wav",
+    "AlphaEstimate", "AlphaProfile", "EemdConfig", "EnhanceConfig", "FrameGrid",
+    "ImfSet", "MetricReport", "Signal", "alpha_from_nu", "analyse", "default_lookup",
+    "eemd", "emd", "enhance", "estimate_alpha", "evaluate", "frame_grid", "fwsnrseg",
+    "hann_window", "llr", "map_intelligibility", "nu_alpha", "overlap_add",
+    "profile_alpha", "read_wav", "reconstruct", "resample", "sample_sas", "select_cut",
+    "sift", "stoi", "threshold", "write_wav",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .emd import EemdConfig, ImfSet, eemd
 from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add
-from .stable import MIN_SAMPLES, default_lookup, hazen_ranks, nu_from_order_stats
+from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
 # padding) are scored as maximally noise-like.
@@ -88,7 +88,6 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid) -> AlphaProf
     Each sequence's frames are scored from their order statistics, read by
     one sliding sorted window, so memory is O(length + frame_len).
     """
-    lookup = default_lookup()
     if imfs.source_len != len(noisy):
         raise ValueError("mode length does not match the noisy signal")
     if grid.total_len != len(noisy):
@@ -98,7 +97,7 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid) -> AlphaProf
 
     def frame_alphas(samples):
         nu = nu_from_order_stats(frame_order_stats(samples, grid, ranks), gamma)
-        return np.nan_to_num(lookup.alpha_from_nu(nu), nan=DEGENERATE_ALPHA)
+        return np.nan_to_num(alpha_from_nu(nu), nan=DEGENERATE_ALPHA)
 
     per_mode = np.empty((grid.count, imfs.mode_count))
     for m, mode in enumerate(imfs.modes):

@@ -4,6 +4,8 @@ windowing and overlap-add."""
 from __future__ import annotations
 
 import math
+import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +164,16 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray
 def read_wav(path) -> Signal:
     """Read a mono PCM16 or float32 WAV file.
 
-    PCM16 samples are scaled by 1/32768 so that -32768 maps to -1.0.
+    PCM16 samples are scaled by 1/32768 so that -32768 maps to -1.0.  A file
+    cut short of the size its header gives is rejected (scipy only warns), as
+    is one cut inside its header (scipy's struct unpacking fails).
     """
-    rate, data = wavfile.read(path)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(path)
+        except (wavfile.WavFileWarning, struct.error) as exc:
+            raise ValueError(f"truncated WAV {path}: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"expected mono WAV, got {data.shape[1]} channels: {path}")
     if data.dtype == np.int16:

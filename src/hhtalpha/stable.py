@@ -7,15 +7,20 @@ both as a test oracle and as a synthetic impulsive-noise source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
-from importlib import resources
+from dataclasses import dataclass
 
 import numpy as np
 
-ALPHA_MIN_TABLE = 0.5
-ALPHA_MAX_TABLE = 2.0
 MIN_SAMPLES = 100
+
+# McCulloch's (1986) symmetric-case table: the quantile spread ratio
+# nu = (x95 - x05) / (x75 - x25) of a standard symmetric alpha-stable law per
+# alpha, with alpha strictly decreasing and nu strictly increasing.
+TABLE_ALPHA = np.array([2.0, 1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3,
+                        1.2, 1.1, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+TABLE_NU = np.array([2.4388, 2.512, 2.608, 2.7369, 2.9115, 3.148, 3.4635, 3.8824,
+                     4.4468, 5.2172, 6.314, 7.9098, 10.448, 14.8378, 23.4831, 44.2813])
+TABLE_ALPHA.flags.writeable = TABLE_NU.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -25,70 +30,19 @@ class AlphaEstimate:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class AlphaLookup:
-    """Monotone map between the quantile ratio nu and alpha.
+def alpha_from_nu(nu):
+    """Alpha for each quantile ratio in `nu`, read off the table by
+    piecewise-linear interpolation and clamped to [0.5, 2.0].
 
-    `alpha` is strictly decreasing, `nu` strictly increasing; inversion is a
-    piecewise-linear interpolation clamped to the table domain.
+    Elementwise; NaN passes through.
     """
-
-    alpha: np.ndarray = field(repr=False)
-    nu: np.ndarray = field(repr=False)
-    provenance: str = "published-table"
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        nu = np.asarray(self.nu, dtype=np.float64)
-        if alpha.shape != nu.shape or alpha.ndim != 1 or len(alpha) < 1:
-            raise ValueError("alpha and nu must be matching 1-D arrays")
-        if len(alpha) > 1:
-            if not np.all(np.diff(alpha) < 0):
-                raise ValueError("alpha grid must be strictly decreasing")
-            if not np.all(np.diff(nu) > 0):
-                raise ValueError("nu values must be strictly increasing in the grid")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "nu", nu)
-
-    def alpha_from_nu(self, nu):
-        """Alpha for each quantile ratio in `nu`, clamped to [0.5, 2.0].
-
-        Elementwise; NaN passes through.
-        """
-        # np.interp needs ascending x; alpha is descending along ascending nu
-        return np.clip(np.interp(nu, self.nu, self.alpha), ALPHA_MIN_TABLE, ALPHA_MAX_TABLE)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# provenance: {self.provenance}\n")
-            for a, v in zip(self.alpha, self.nu):
-                fh.write(f"{a:.6f} {v:.6f}\n")
-
-    @classmethod
-    def load(cls, path) -> "AlphaLookup":
-        provenance = "unknown"
-        alphas, nus = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "provenance:" in line:
-                        provenance = line.split("provenance:", 1)[1].strip()
-                    continue
-                a, v = line.split()
-                alphas.append(float(a))
-                nus.append(float(v))
-        return cls(np.array(alphas), np.array(nus), provenance)
+    # np.interp needs ascending x, and holds the end rows (2.0, 0.5) outside the table
+    return np.interp(nu, TABLE_NU, TABLE_ALPHA)
 
 
-@cache
-def default_lookup() -> AlphaLookup:
-    """The symmetric quantile-ratio table shipped with the package."""
-    path = resources.files("hhtalpha").joinpath("data/mcculloch_symmetric.txt")
-    with resources.as_file(path) as p:
-        return AlphaLookup.load(p)
+def default_lookup():
+    """The symmetric quantile-ratio table as (TABLE_ALPHA, TABLE_NU)."""
+    return TABLE_ALPHA, TABLE_NU
 
 
 # The fractiles the quantile spread ratio reads: x05, x25, x75, x95.
@@ -159,8 +113,7 @@ def estimate_alpha(samples) -> AlphaEstimate:
     nu = nu_alpha(samples)
     if np.isnan(nu):
         raise ValueError("degenerate input: zero interquartile range")
-    return AlphaEstimate(alpha=float(default_lookup().alpha_from_nu(nu)), nu_alpha=nu,
-                         sample_count=samples.size)
+    return AlphaEstimate(alpha=float(alpha_from_nu(nu)), nu_alpha=nu, sample_count=samples.size)
 
 
 def sample_sas(alpha: float, n: int, seed) -> np.ndarray:
@@ -182,28 +135,3 @@ def sample_sas(alpha: float, n: int, seed) -> np.ndarray:
         np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
         * (np.cos(u - alpha * u) / w) ** ((1.0 - alpha) / alpha)
     )
-
-
-def build_lookup(alphas, per_point_n: int, trials: int, seed) -> AlphaLookup:
-    """Monte-Carlo fallback table: average nu over CMS sample sets per grid alpha.
-
-    The alpha grid must be strictly increasing within [0.5, 2.0]; the
-    resulting nu values must come out strictly decreasing in alpha or the
-    grid is rejected.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if len(alphas) < 1 or (len(alphas) > 1 and not np.all(np.diff(alphas) > 0)):
-        raise ValueError("alphas must be strictly increasing")
-    if np.any(alphas < ALPHA_MIN_TABLE) or np.any(alphas > ALPHA_MAX_TABLE):
-        raise ValueError("alphas must lie within [0.5, 2.0]")
-    nus = np.empty(len(alphas))
-    for i, a in enumerate(alphas):
-        vals = [
-            nu_alpha(sample_sas(a, per_point_n, np.random.SeedSequence([seed, i, t])))
-            for t in range(trials)
-        ]
-        nus[i] = np.mean(vals)
-    if len(alphas) > 1 and not np.all(np.diff(nus) < 0):
-        raise ValueError("generated table is not monotone; increase per_point_n/trials")
-    # store with alpha descending / nu ascending like the published table
-    return AlphaLookup(alphas[::-1].copy(), nus[::-1].copy(), provenance="monte-carlo")

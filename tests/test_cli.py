@@ -187,6 +187,15 @@ def test_non_finite_input_names_the_file(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: non-finite samples in {path}\n"
 
 
+def test_truncated_input_names_the_file(tmp_path, capsys):
+    path = tmp_path / "cut.wav"
+    write_wav(Signal(np.zeros(38400), RATE), path)
+    path.write_bytes(path.read_bytes()[:40_000])
+    assert run("eval", "--clean", path, "--processed", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: truncated WAV {path}: Reached EOF prematurely")
+
+
 class TestEnhanceCommand:
     def test_output_shape_and_profile(self, tmp_path, clean_wav):
         out = tmp_path / "enh.wav"

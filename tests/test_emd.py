@@ -322,12 +322,38 @@ class TestEemd:
         peak = np.max(np.abs(x))
         assert np.max(np.abs(imfs.total() - x)) < 1e-8 * peak
 
-    @pytest.mark.parametrize("cpus", [1, 2, 6])
-    def test_bit_equal_on_any_core_count(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("cpus, hold_first", [
+        pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+        pytest.param(6, False, id="6"), pytest.param(2, True, id="2-trial-0-held"),
+        pytest.param(6, True, id="6-trial-0-held")])
+    def test_bit_equal_on_any_core_count(self, monkeypatch, cpus, hold_first):
         # 6 workers on fewer cores: a lost or out-of-order addition changes the bytes
         x = np.random.default_rng(11).standard_normal(1024)
         cfg = EemdConfig(ensemble_size=16, master_seed=3)
         pools = []
+        if hold_first:
+            # trial 0's EMD sleeps, so later trials end theirs first and must
+            # wait their turn; forked workers inherit the patch
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+            noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
+            first = x + noise_std * rng.standard_normal(len(x))
+            context = multiprocessing.get_context("fork")
+            first_done, overtaken = context.Value("i", 0), context.Value("i", 0)
+            original = emd_module.emd
+
+            def holding_emd(sig, max_modes):
+                is_first = np.array_equal(sig.samples, first)
+                if is_first:
+                    time.sleep(0.3)
+                result = original(sig, max_modes)
+                with first_done.get_lock():
+                    if is_first:
+                        first_done.value += 1
+                    elif not first_done.value:
+                        overtaken.value += 1
+                return result
+
+            monkeypatch.setattr(emd_module, "emd", holding_emd)
 
         def recording_pool(workers, **kwargs):
             pools.append(workers)
@@ -343,6 +369,8 @@ class TestEemd:
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
         assert multiprocessing.active_children() == []
+        if hold_first:
+            assert first_done.value == 1 and overtaken.value >= 1
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_trial_reaches_caller(self, monkeypatch, cpus):

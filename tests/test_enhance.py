@@ -10,8 +10,8 @@ from hhtalpha import (
     EemdConfig,
     EnhanceConfig,
     Signal,
+    alpha_from_nu,
     analyse,
-    default_lookup,
     eemd,
     enhance,
     frame_grid,
@@ -174,7 +174,6 @@ class TestProfileAlpha:
 def quantile_profile(imfs, noisy, grid):
     """Reference profile: numpy's Hazen quantiles over a (frames x frame_len)
     matrix of each zero-padded sequence, then the table lookup."""
-    lookup = default_lookup()
 
     def frame_alphas(x):
         padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
@@ -185,7 +184,7 @@ def quantile_profile(imfs, noisy, grid):
         iqr = q75 - q25
         with np.errstate(divide="ignore", invalid="ignore"):
             nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
-        return np.nan_to_num(lookup.alpha_from_nu(nu), nan=2.0)
+        return np.nan_to_num(alpha_from_nu(nu), nan=2.0)
 
     per_mode = np.stack([frame_alphas(m) for m in imfs.modes], axis=1)
     return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy))

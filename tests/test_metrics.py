@@ -171,6 +171,14 @@ class TestFwsnrseg:
         zeros = Signal(np.zeros(len(clean)), RATE)
         assert fwsnrseg(clean, zeros) < 1.0
 
+    def test_silent_clean_keeps_every_frame(self, clean):
+        # every frame of an all-zero clean signal is active, and each has
+        # zero band weight, so the score is 0.0 rather than an error
+        silent = Signal(np.zeros(len(clean)), RATE)
+        assert fwsnrseg(silent, clean) == 0.0
+        with pytest.raises(ValueError, match="shorter than one"):
+            fwsnrseg(Signal(np.zeros(100), RATE), Signal(np.zeros(100), RATE))
+
 
 class TestStoi:
     def test_identity_near_one(self, clean):

@@ -55,6 +55,29 @@ class TestWav:
         with pytest.raises(ValueError, match=re.escape(f"non-finite samples in {path}")):
             read_wav(path)
 
+    # cut in the samples, and in the fmt chunk right after its size field
+    @pytest.mark.parametrize("dtype, cut", [(np.float32, 40_000), (np.int16, 38_444),
+                                            (np.int16, 20)])
+    def test_truncated_names_the_file(self, tmp_path, dtype, cut):
+        from scipy.io import wavfile
+        path = tmp_path / "cut.wav"
+        wavfile.write(path, 16000, np.zeros(38400, dtype=dtype))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"truncated WAV {path}: ")):
+            read_wav(path)
+
+    def test_unknown_chunk_still_reads(self, tmp_path):
+        import struct
+
+        from scipy.io import wavfile
+        path = tmp_path / "chunk.wav"
+        wavfile.write(path, 16000, np.arange(100, dtype=np.int16))
+        data = path.read_bytes() + b"abcd" + struct.pack("<I", 4) + b"\0" * 4
+        path.write_bytes(data[:4] + struct.pack("<I", len(data) - 8) + data[8:])
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            sig = read_wav(path)
+        np.testing.assert_array_equal(sig.samples, np.arange(100) / 32768.0)
+
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
         path = tmp_path / "stereo.wav"

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhtalpha import (
-    AlphaLookup,
-    build_lookup,
+    alpha_from_nu,
     default_lookup,
     estimate_alpha,
     nu_alpha,
     sample_sas,
 )
-from hhtalpha.stable import MIN_SAMPLES, hazen_ranks
+from hhtalpha.stable import MIN_SAMPLES, TABLE_ALPHA, TABLE_NU, hazen_ranks
 
 GAUSS_NU = 2.4388  # (2*1.6449)/(2*0.6745)
 CAUCHY_NU = 6.3138  # tan(0.45*pi)/tan(0.25*pi)
@@ -100,18 +99,16 @@ class TestEstimateAlpha:
         assert estimate_alpha(x).alpha >= 1.95
 
     def test_nu_at_table_boundary(self):
-        lookup = default_lookup()
-        assert lookup.alpha_from_nu(2.4388) == 2.0
-        assert lookup.alpha_from_nu(1.0) == 2.0  # below-table clamp
-        assert lookup.alpha_from_nu(1e6) == 0.5  # above-table clamp
+        assert alpha_from_nu(2.4388) == 2.0
+        assert alpha_from_nu(1.0) == 2.0  # below-table clamp
+        assert alpha_from_nu(1e6) == 0.5  # above-table clamp
 
     def test_lookup_elementwise(self):
-        lookup = default_lookup()
         nus = np.array([1.0, 2.4388, 3.1, 4.7, 6.3138, 12.0, 1e6, np.nan])
-        alphas = lookup.alpha_from_nu(nus)
+        alphas = alpha_from_nu(nus)
         assert alphas.shape == nus.shape
         for nu, alpha in zip(nus, alphas):
-            np.testing.assert_array_equal(alpha, lookup.alpha_from_nu(nu))
+            np.testing.assert_array_equal(alpha, alpha_from_nu(nu))
         assert np.isnan(alphas[-1])
         assert np.all((alphas[:-1] >= 0.5) & (alphas[:-1] <= 2.0))
 
@@ -154,36 +151,22 @@ class TestSampleSas:
 
 class TestLookup:
     def test_default_is_published(self):
-        lookup = default_lookup()
-        assert lookup.provenance == "published-table"
-        assert lookup.alpha[0] == 2.0
-        assert lookup.nu[0] == pytest.approx(2.4388)
+        alpha, nu = default_lookup()
+        assert alpha is TABLE_ALPHA and nu is TABLE_NU
+        assert not (alpha.flags.writeable or nu.flags.writeable)  # shared by every caller
+        assert alpha.shape == nu.shape == (16,)
+        assert alpha[0] == 2.0
+        assert nu[0] == pytest.approx(2.4388)
 
     def test_monotone_enforced(self):
-        with pytest.raises(ValueError):
-            AlphaLookup(np.array([2.0, 1.5]), np.array([3.0, 2.5]))
+        assert TABLE_ALPHA[0] == 2.0 and TABLE_ALPHA[-1] == 0.5
+        assert np.all(np.diff(TABLE_ALPHA) < 0)
+        assert np.all(np.diff(TABLE_NU) > 0)
 
-    def test_save_load_round_trip(self, tmp_path):
-        lookup = default_lookup()
-        path = tmp_path / "table.txt"
-        lookup.save(path)
-        back = AlphaLookup.load(path)
-        assert back.provenance == "published-table"
-        np.testing.assert_allclose(back.alpha, lookup.alpha)
-        np.testing.assert_allclose(back.nu, lookup.nu)
-
-
-class TestBuildLookup:
-    def test_gaussian_point(self):
-        lookup = build_lookup([2.0], per_point_n=200_000, trials=4, seed=0)
-        assert lookup.nu[0] == pytest.approx(GAUSS_NU, abs=0.03)
-        assert lookup.provenance == "monte-carlo"
-
-    def test_nu_decreasing_in_alpha(self):
-        lookup = build_lookup([1.0, 1.5, 2.0], per_point_n=200_000, trials=8, seed=0)
-        # stored with alpha descending, so nu must be ascending
-        assert np.all(np.diff(lookup.nu) > 0)
-
-    def test_non_increasing_grid_rejected(self):
-        with pytest.raises(ValueError):
-            build_lookup([1.5, 1.0], per_point_n=1000, trials=1, seed=0)
+    @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.2, 1.0, 0.8])
+    def test_rows_match_the_sampler(self, alpha):
+        # the mean ratio of 8 sets of 200 000 CMS draws lands on the table row
+        row = np.flatnonzero(np.isclose(TABLE_ALPHA, alpha))[0]
+        nus = [nu_alpha(sample_sas(alpha, 200_000, np.random.SeedSequence([row, t])))
+               for t in range(8)]
+        assert np.mean(nus) == pytest.approx(TABLE_NU[row], rel=0.01)
