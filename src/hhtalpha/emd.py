@@ -37,6 +37,9 @@ class EemdConfig:
             raise ValueError("max_modes must be >= 1")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if not self.ensemble_snr_db > -np.inf:
+            raise ValueError(f"ensemble_snr_db must be a number of dB or +inf (no added "
+                             f"noise), got {self.ensemble_snr_db}")
 
 
 @dataclass(frozen=True)

@@ -44,19 +44,19 @@ class EnhanceConfig:
             raise ValueError("step must satisfy 0 < step <= frame_len")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaProfile:
-    """Per-frame impulsiveness estimates and the resulting mode selections.
+    """Per-frame impulsiveness estimates and the mode selection they give.
 
     per_mode is (frames x modes); `noisy` holds the estimate for the corrupted
-    signal frame itself.  `thresholds` and `cut_index` stay None until the
-    selection step fills them in.
+    signal frame itself, `thresholds` each frame's threshold rho and
+    `cut_index` each frame's Z, the number of leading modes kept.
     """
 
     per_mode: np.ndarray
     noisy: np.ndarray
-    thresholds: np.ndarray | None = None
-    cut_index: np.ndarray | None = None
+    thresholds: np.ndarray
+    cut_index: np.ndarray
 
     @property
     def frame_count(self) -> int:
@@ -75,15 +75,15 @@ class AlphaProfile:
             writer.writerow(header)
             for q in range(self.frame_count):
                 row = [f"{a:.6f}" for a in self.per_mode[q]]
-                row.append(f"{self.noisy[q]:.6f}")
-                row.append("" if self.thresholds is None else f"{self.thresholds[q]:.6f}")
-                row.append("" if self.cut_index is None else str(int(self.cut_index[q])))
+                row += [f"{self.noisy[q]:.6f}", f"{self.thresholds[q]:.6f}",
+                        str(int(self.cut_index[q]))]
                 writer.writerow(row)
 
 
-def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid) -> AlphaProfile:
+def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
     """Estimate the impulsiveness index per frame for every mode and for the
-    noisy samples themselves.  Degenerate frames get the sentinel value 2.0.
+    noisy samples themselves; returns (per_mode, noisy), (frames x modes) and
+    one value per frame.  Degenerate frames get the sentinel value 2.0.
 
     Each sequence's frames are scored from their order statistics, read by
     one sliding sorted window, so memory is O(length + frame_len).
@@ -102,69 +102,54 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid) -> AlphaProf
     per_mode = np.empty((grid.count, imfs.mode_count))
     for m, mode in enumerate(imfs.modes):
         per_mode[:, m] = frame_alphas(mode)
-    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy))
+    return per_mode, frame_alphas(noisy)
 
 
-def threshold(alpha_u, cfg: EnhanceConfig):
-    """Adaptive per-frame selection threshold, elementwise in `alpha_u`.
+def apply_selection(per_mode, noisy, cfg: EnhanceConfig) -> AlphaProfile:
+    """Select each frame's modes from its profiled impulsiveness.
 
-    "floor" keeps the threshold at least alpha_min (prevents over-removal in
-    speech-dominant frames); "literal_min" takes min(mu*alpha_u, alpha_min)
-    instead.
+    The threshold is rho = max(mu*alpha_u, alpha_min) under "floor", which
+    prevents over-removal in speech-dominant frames, and min(mu*alpha_u,
+    alpha_min) under "literal_min".  The cut index Z is the last mode whose
+    alpha is at or below rho, 0 where none is (the frame is reconstructed as
+    silence); modes past Z are treated as noise-like and dropped.
     """
-    scaled = cfg.mu * np.asarray(alpha_u)
-    if cfg.threshold_combine == "floor":
-        return np.maximum(scaled, cfg.alpha_min)
-    return np.minimum(scaled, cfg.alpha_min)
+    per_mode, noisy = np.asarray(per_mode), np.asarray(noisy)
+    if per_mode.ndim != 2 or noisy.shape != per_mode.shape[:1]:
+        raise ValueError("per_mode must be (frames x modes) with one noisy value per frame")
+    combine = np.maximum if cfg.threshold_combine == "floor" else np.minimum
+    rho = combine(cfg.mu * noisy, cfg.alpha_min)
+    rank = np.arange(1, per_mode.shape[1] + 1)
+    cut = np.max(rank * (per_mode <= rho[:, np.newaxis]), axis=1, initial=0)
+    return AlphaProfile(per_mode=per_mode, noisy=noisy, thresholds=rho, cut_index=cut)
 
 
-def select_cut(alphas, rho):
-    """Index of the last mode whose impulsiveness is at or below the threshold.
-
-    `alphas` is one row of per-mode values with a scalar `rho`, or a
-    (frames x modes) matrix with one `rho` per frame.  Returns 0 where no
-    mode qualifies (the frame is reconstructed as silence).  Modes past the
-    returned index are treated as noise-like and dropped.
-    """
-    below = np.asarray(alphas) <= np.asarray(rho)[..., np.newaxis]
-    rank = np.arange(1, below.shape[-1] + 1)
-    return np.max(rank * below, axis=-1, initial=0)
-
-
-def apply_selection(profile: AlphaProfile, cfg: EnhanceConfig) -> AlphaProfile:
-    """Fill in per-frame thresholds and mode cut indices."""
-    profile.thresholds = threshold(profile.noisy, cfg)
-    profile.cut_index = select_cut(profile.per_mode, profile.thresholds)
-    return profile
-
-
-def reconstruct(imfs: ImfSet, profile: AlphaProfile, grid: FrameGrid) -> np.ndarray:
+def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
     """Overlap-add, frame by frame, the Hann-windowed sum of the kept mode prefix.
 
     Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
     residual trend is never included.  Output length equals the source
     length exactly.
     """
-    if profile.cut_index is None:
-        raise ValueError("profile has no cut indices; run apply_selection first")
-    if profile.frame_count != grid.count or imfs.source_len != grid.total_len:
-        raise ValueError("profile/grid/mode shapes are inconsistent")
+    cut_index = np.asarray(cut_index)
+    if cut_index.dtype.kind not in "iu" or np.any((cut_index < 0) | (cut_index > imfs.mode_count)):
+        raise ValueError(f"cut indices must be integers in 0..{imfs.mode_count}, the mode count")
     # row z holds modes 1..z, so each frame's cut index names its source row
     prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
     np.cumsum(imfs.modes, axis=0, out=prefix[1:])
-    return overlap_add(prefix, profile.cut_index, grid, hann_window(grid.frame_len))
+    return overlap_add(prefix, cut_index, grid, hann_window(grid.frame_len))
 
 
 def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
-    """Decompose, profile and select; returns (ImfSet, FrameGrid, filled-in AlphaProfile)."""
+    """Decompose, profile and select; returns (ImfSet, FrameGrid, AlphaProfile)."""
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
     imfs = eemd(noisy, cfg.eemd)
     grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
-    return imfs, grid, apply_selection(profile_alpha(imfs, noisy.samples, grid), cfg)
+    return imfs, grid, apply_selection(*profile_alpha(imfs, noisy.samples, grid), cfg)
 
 
 def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
-    """Full pipeline; returns (enhanced signal, filled-in AlphaProfile)."""
+    """Full pipeline; returns (enhanced signal, AlphaProfile)."""
     imfs, grid, profile = analyse(noisy, cfg)
-    return Signal(reconstruct(imfs, profile, grid), noisy.sample_rate), profile
+    return Signal(reconstruct(imfs, profile.cut_index, grid), noisy.sample_rate), profile

@@ -32,6 +32,10 @@ N_BANDS = 25
 BAND_LO_HZ = 50.0
 BAND_HI_HZ = 8000.0
 ACTIVE_FLOOR_DB = 40.0
+# A Levinson-Durbin row stops once its prediction error falls to
+# LPC_ERR_FLOOR times its lag-0 autocorrelation: below that the error is
+# round-off, whatever the signal's scale.
+LPC_ERR_FLOOR = 1e-10
 # Envelope-correlation intelligibility (Taal et al. 2011): 10 kHz, 256-sample
 # frames every 128 samples with a 512-point DFT, 15 one-third-octave bands
 # from 150 Hz, 30-frame segments clipped at -15 dB, and frames more than
@@ -106,9 +110,9 @@ def _autocorr(rows: np.ndarray, order: int) -> np.ndarray:
 def _lpc(r: np.ndarray):
     """Levinson-Durbin on every row of r (autocorrelation lags 0..order,
     lag 0 positive) at once: LPC coefficients [1, a_1 .. a_order] per row,
-    and which rows kept a positive prediction error throughout.  A row whose
-    error drops to <= 0 keeps that iteration's coefficients and is left
-    alone from then on."""
+    and which rows kept their prediction error above LPC_ERR_FLOOR * r_0
+    throughout.  A row whose error drops to that floor keeps that
+    iteration's coefficients and is left alone from then on."""
     rows, order = r.shape[0], r.shape[1] - 1
     # reversed copy: r_(i-1) .. r_1 becomes a forward slice, summed as np.dot sums it
     lags_down = r[:, ::-1].copy()
@@ -122,7 +126,7 @@ def _lpc(r: np.ndarray):
         k = np.divide(-acc, err, out=np.zeros(rows), where=live)
         a[:, 1:i + 1] += k[:, None] * a[:, i - 1::-1]
         err *= 1.0 - k * k
-        live &= err > 0.0
+        live &= err > LPC_ERR_FLOOR * r[:, 0]
     return a, live
 
 
@@ -133,7 +137,8 @@ def llr(clean: Signal, processed: Signal) -> float:
     the clean-frame autocorrelation matrix.  0 when processed == clean.
     Frames where either signal or either quadratic form is not positive are
     skipped, and so are those whose clean LPC recursion broke down (its
-    prediction error reached <= 0, so a_c R_c a_c' is round-off).
+    prediction error fell to LPC_ERR_FLOOR of the frame's power, so
+    a_c R_c a_c' is round-off).
     """
     _check_pair(clean, processed)
     c_frames, p_frames = _active_frames(clean, processed)

@@ -166,7 +166,8 @@ def read_wav(path) -> Signal:
 
     PCM16 samples are scaled by 1/32768 so that -32768 maps to -1.0.  A file
     cut short of the size its header gives is rejected (scipy only warns), as
-    is one cut inside its header (scipy's struct unpacking fails).
+    is one cut inside its header (scipy's struct unpacking fails).  Every
+    error names the file.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
@@ -174,6 +175,8 @@ def read_wav(path) -> Signal:
             rate, data = wavfile.read(path)
         except (wavfile.WavFileWarning, struct.error) as exc:
             raise ValueError(f"truncated WAV {path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"unreadable WAV {path}: {exc}") from None
     if data.ndim != 1:
         raise ValueError(f"expected mono WAV, got {data.shape[1]} channels: {path}")
     if data.dtype == np.int16:

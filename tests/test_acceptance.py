@@ -103,8 +103,8 @@ def test_05_alpha_trend_reproduction():
     noisy = Signal(mix_at_snr(clean, noise, 0.0), RATE)
     imfs = eemd(noisy)
     grid = frame_grid(len(noisy), 10240, 128)
-    prof = profile_alpha(imfs, noisy.samples, grid)
-    means = prof.per_mode.mean(axis=0)
+    per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
+    means = per_mode.mean(axis=0)
     low = means[:3].mean()
     high = means[6:10].mean()
     top = means[-3:].mean()
@@ -120,10 +120,7 @@ def test_06_pipeline_noop_identity():
     from hhtalpha.emd import EemdConfig
     imfs = eemd(sig, EemdConfig(max_modes=8, ensemble_size=5, master_seed=2))
     grid = frame_grid(len(sig), 4096, 512)
-    prof = profile_alpha(imfs, x, grid)
-    prof.thresholds = np.full(grid.count, 2.0)
-    prof.cut_index = np.full(grid.count, imfs.mode_count, dtype=int)
-    out = reconstruct(imfs, prof, grid)
+    out = reconstruct(imfs, np.full(grid.count, imfs.mode_count), grid)
     mode_sum = imfs.modes.sum(axis=0)
     err = np.max(np.abs(out - mode_sum)) / np.max(np.abs(mode_sum))
     report(6, err < 1e-6, f"keep-all reconstruction err {err:.2e} (< 1e-6 of peak)")

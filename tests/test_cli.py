@@ -196,6 +196,24 @@ def test_truncated_input_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: truncated WAV {path}: Reached EOF prematurely")
 
 
+@pytest.mark.parametrize("bad", ["--clean", "--processed"])
+def test_unreadable_input_is_named(tmp_path, capsys, bad):
+    good, cut = tmp_path / "good.wav", tmp_path / "cut.wav"
+    write_wav(Signal(np.zeros(38400), RATE), good)
+    cut.write_bytes(good.read_bytes()[:50])
+    paths = {"--clean": good, "--processed": good, bad: cut}
+    assert run("eval", *[a for flag, path in paths.items() for a in (flag, path)]) == 1
+    assert capsys.readouterr().err == f"error: unreadable WAV {cut}: Unexpected end of file.\n"
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_ensemble_snr_nan_or_minus_inf_fails(tmp_path, clean_wav, capsys, snr):
+    out = tmp_path / "o.wav"
+    assert run("enhance", "--in", clean_wav, "--out", out, f"--ensemble-snr={snr}") == 1
+    assert capsys.readouterr().err.startswith("error: ensemble_snr_db must be")
+    assert not out.exists()
+
+
 class TestEnhanceCommand:
     def test_output_shape_and_profile(self, tmp_path, clean_wav):
         out = tmp_path / "enh.wav"

@@ -244,6 +244,13 @@ class TestEmd:
         with pytest.raises(ValueError, match="max_modes"):
             EemdConfig(max_modes=0)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_ensemble_snr_nan_or_minus_inf_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="ensemble_snr_db"):
+            EemdConfig(ensemble_snr_db=snr_db)
+        # +inf adds no noise: plain EMD per trial
+        EemdConfig(ensemble_snr_db=np.inf)
+
     def test_mode_ordering_zero_crossings(self):
         rng = np.random.default_rng(11)
         imfs = emd(Signal(rng.standard_normal(8192), 1))

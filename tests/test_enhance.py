@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -18,11 +19,9 @@ from hhtalpha import (
     profile_alpha,
     reconstruct,
     sample_sas,
-    select_cut,
-    threshold,
 )
 from hhtalpha.emd import ImfSet
-from hhtalpha.enhance import AlphaProfile, apply_selection
+from hhtalpha.enhance import apply_selection
 
 from conftest import make_speech_proxy
 
@@ -49,48 +48,73 @@ def test_frame_shorter_than_estimator_minimum_rejected():
     EnhanceConfig(frame_len=100, step=32)
 
 
+def thresholds(alpha_u, cfg):
+    """The thresholds apply_selection sets for frames whose noisy alpha is alpha_u."""
+    alpha_u = np.atleast_1d(alpha_u)
+    return apply_selection(np.zeros((len(alpha_u), 1)), alpha_u, cfg).thresholds
+
+
+def cuts(per_mode, rho):
+    """The cut indices apply_selection picks at threshold rho per frame: with
+    mu = 1 and alpha_min = 0.5 the threshold is the frame's noisy alpha."""
+    per_mode = np.atleast_2d(per_mode)
+    rho = np.broadcast_to(rho, per_mode.shape[:1])
+    return apply_selection(per_mode, rho, small_cfg(mu=1.0, alpha_min=0.5)).cut_index
+
+
 class TestThreshold:
     def test_floor_passes_scaled_value(self):
-        cfg = small_cfg()
-        assert threshold(1.6, cfg) == pytest.approx(1.28)
+        assert thresholds(1.6, small_cfg()) == pytest.approx([1.28])
 
     def test_floor_engages(self):
-        cfg = small_cfg()
-        assert threshold(1.0, cfg) == pytest.approx(1.1)
+        assert thresholds(1.0, small_cfg()) == pytest.approx([1.1])
 
     def test_literal_min(self):
         cfg = small_cfg(threshold_combine="literal_min")
-        assert threshold(1.0, cfg) == pytest.approx(0.8)
+        assert thresholds(1.0, cfg) == pytest.approx([0.8])
 
     @pytest.mark.parametrize("mode", ["floor", "literal_min"])
     def test_elementwise(self, mode):
         cfg = small_cfg(threshold_combine=mode)
         alpha_u = np.array([0.5, 1.0, 1.375, 1.6, 2.0])
-        np.testing.assert_array_equal(threshold(alpha_u, cfg),
-                                      [threshold(a, cfg) for a in alpha_u])
+        np.testing.assert_array_equal(thresholds(alpha_u, cfg),
+                                      [thresholds(a, cfg)[0] for a in alpha_u])
 
 
 class TestSelectCut:
     def test_last_below(self):
-        assert select_cut(np.array([1.0, 1.05, 1.2, 1.9, 2.0]), 1.25) == 3
+        assert cuts([1.0, 1.05, 1.2, 1.9, 2.0], 1.25) == [3]
 
     def test_empty_selection(self):
-        assert select_cut(np.array([1.9, 2.0]), 1.1) == 0
+        assert cuts([1.9, 2.0], 1.1) == [0]
 
     def test_interior_above_threshold_kept(self):
         # "last mode below" keeps the above-threshold mode in between
-        assert select_cut(np.array([1.0, 1.3, 1.05, 2.0]), 1.1) == 3
+        assert cuts([1.0, 1.3, 1.05, 2.0], 1.1) == [3]
 
     def test_monotone_in_rho(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             alphas = rng.uniform(0.5, 2.0, size=8)
             rhos = np.sort(rng.uniform(0.5, 2.0, size=4))
-            cuts = [select_cut(alphas, r) for r in rhos]
-            assert cuts == sorted(cuts)
-            # the matrix form equals the per-row calls
+            one_by_one = [cuts(alphas, r)[0] for r in rhos]
+            assert one_by_one == sorted(one_by_one)
+            # selecting over all frames at once equals one frame at a time
             matrix = np.tile(alphas, (len(rhos), 1))
-            np.testing.assert_array_equal(select_cut(matrix, rhos), cuts)
+            np.testing.assert_array_equal(cuts(matrix, rhos), one_by_one)
+
+    def test_profile_is_finished_and_frozen(self):
+        prof = apply_selection(np.array([[1.0, 2.0], [1.5, 1.8]]), np.array([1.2, 1.4]),
+                               small_cfg())
+        assert prof.thresholds.shape == prof.cut_index.shape == (2,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prof.cut_index = np.zeros(2, dtype=int)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="frames x modes"):
+            apply_selection(np.array([1.0, 1.3]), np.array([1.2, 1.4]), small_cfg())
+        with pytest.raises(ValueError, match="one noisy value per frame"):
+            apply_selection(np.ones((3, 2)), np.array([1.2, 1.4]), small_cfg())
 
 
 class TestProfileAlpha:
@@ -99,9 +123,9 @@ class TestProfileAlpha:
         mode = sample_sas(1.2, n, 3)
         imfs = ImfSet(mode[np.newaxis], np.zeros(n), 16000)
         grid = frame_grid(n, 10240, 10240)
-        prof = profile_alpha(imfs, mode, grid)
-        assert prof.per_mode.shape == (2, 1)
-        assert np.all(np.abs(prof.per_mode - 1.2) < 0.1)
+        per_mode, _ = profile_alpha(imfs, mode, grid)
+        assert per_mode.shape == (2, 1)
+        assert np.all(np.abs(per_mode - 1.2) < 0.1)
 
     def test_degenerate_frame_sentinel(self):
         n = 3000
@@ -109,10 +133,10 @@ class TestProfileAlpha:
         x[:1024] = np.sin(np.arange(1024.0))
         imfs = ImfSet(x[np.newaxis], np.zeros(n), 16000)
         grid = frame_grid(n, 1024, 1024)
-        prof = profile_alpha(imfs, x, grid)
+        per_mode, _ = profile_alpha(imfs, x, grid)
         # frames 1 and 2 are all-zero
-        assert prof.per_mode[1, 0] == 2.0
-        assert prof.per_mode[2, 0] == 2.0
+        assert per_mode[1, 0] == 2.0
+        assert per_mode[2, 0] == 2.0
 
     def test_length_mismatch_rejected(self):
         imfs = ImfSet(np.zeros((1, 100)), np.zeros(100), 1)
@@ -125,9 +149,9 @@ class TestProfileAlpha:
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
         grid = frame_grid(len(short), 2048, 512)
-        prof = profile_alpha(imfs, short.samples, grid)
-        assert np.all(prof.per_mode >= 0.5) and np.all(prof.per_mode <= 2.0)
-        assert np.all(prof.noisy >= 0.5) and np.all(prof.noisy <= 2.0)
+        per_mode, noisy_alphas = profile_alpha(imfs, short.samples, grid)
+        assert np.all(per_mode >= 0.5) and np.all(per_mode <= 2.0)
+        assert np.all(noisy_alphas >= 0.5) and np.all(noisy_alphas <= 2.0)
 
 
     GRIDS = [(3000, 1024, 128), (2500, 1000, 300), (2048, 512, 512), (700, 1024, 256)]
@@ -141,20 +165,18 @@ class TestProfileAlpha:
         imfs = ImfSet(np.vstack([imfs.modes, ties]), imfs.residual, 16000)
         noisy = imfs.total()
         grid = frame_grid(n, frame_len, step)
-        prof = profile_alpha(imfs, noisy, grid)
+        got = profile_alpha(imfs, noisy, grid)
         expected = quantile_profile(imfs, noisy, grid)
-        assert prof.per_mode.tobytes() == expected.per_mode.tobytes()
-        assert prof.noisy.tobytes() == expected.noisy.tobytes()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_bit_equal_to_quantile_profile_on_eemd_modes(self, noisy_pair):
         _, noisy = noisy_pair
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
         grid = frame_grid(len(short), 2048, 64)
-        prof = profile_alpha(imfs, short.samples, grid)
+        got = profile_alpha(imfs, short.samples, grid)
         expected = quantile_profile(imfs, short.samples, grid)
-        assert prof.per_mode.tobytes() == expected.per_mode.tobytes()
-        assert prof.noisy.tobytes() == expected.noisy.tobytes()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_memory_independent_of_frame_overlap(self):
         # 80 frames cover each sample; a frames matrix would take 80 x length
@@ -172,8 +194,9 @@ class TestProfileAlpha:
 
 
 def quantile_profile(imfs, noisy, grid):
-    """Reference profile: numpy's Hazen quantiles over a (frames x frame_len)
-    matrix of each zero-padded sequence, then the table lookup."""
+    """Reference (per_mode, noisy) profile: numpy's Hazen quantiles over a
+    (frames x frame_len) matrix of each zero-padded sequence, then the table
+    lookup."""
 
     def frame_alphas(x):
         padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
@@ -187,16 +210,16 @@ def quantile_profile(imfs, noisy, grid):
         return np.nan_to_num(alpha_from_nu(nu), nan=2.0)
 
     per_mode = np.stack([frame_alphas(m) for m in imfs.modes], axis=1)
-    return AlphaProfile(per_mode=per_mode, noisy=frame_alphas(noisy))
+    return per_mode, frame_alphas(noisy)
 
 
-def frames_matrix_reconstruct(imfs, profile, grid, window):
+def frames_matrix_reconstruct(imfs, cut_index, grid, window):
     """Reference reconstruction: materialise every windowed frame of the kept
     mode prefix in a (frames x frame_len) matrix, then overlap-add the rows."""
     prefix = np.cumsum(imfs.modes, axis=0)
     frames = np.zeros((grid.count, grid.frame_len))
     for q in range(grid.count):
-        z = int(profile.cut_index[q])
+        z = int(cut_index[q])
         if z == 0:
             continue
         start = q * grid.step
@@ -221,11 +244,6 @@ def random_imfs(rng, n, modes):
                   residual=rng.standard_normal(n), sample_rate=16000)
 
 
-def selected_profile(grid, modes, cut_index):
-    return AlphaProfile(per_mode=np.zeros((grid.count, modes)), noisy=np.zeros(grid.count),
-                        cut_index=np.asarray(cut_index))
-
-
 class TestReconstruct:
     # (length, frame_len, step): steps that do and do not divide the frame,
     # step == frame_len, count * step past the end, a signal shorter than a frame
@@ -242,12 +260,11 @@ class TestReconstruct:
         win = enhance_module.hann_window(frame_len)
         for modes in (0, 1, 4):
             imfs = random_imfs(rng, n, modes)
-            cuts = [np.zeros(grid.count, int), np.full(grid.count, modes)]
-            cuts += [rng.integers(0, modes + 1, grid.count) for _ in range(10)]
-            for cut in cuts:
-                prof = selected_profile(grid, modes, cut)
-                out = reconstruct(imfs, prof, grid)
-                expected = frames_matrix_reconstruct(imfs, prof, grid, win)
+            cut_lists = [np.zeros(grid.count, int), np.full(grid.count, modes)]
+            cut_lists += [rng.integers(0, modes + 1, grid.count) for _ in range(10)]
+            for cut in cut_lists:
+                out = reconstruct(imfs, cut, grid)
+                expected = frames_matrix_reconstruct(imfs, cut, grid, win)
                 assert out.tobytes() == expected.tobytes()
 
     def test_memory_independent_of_frame_overlap(self):
@@ -259,10 +276,10 @@ class TestReconstruct:
         rng = np.random.default_rng(3)
         imfs = random_imfs(rng, n, modes)
         grid = frame_grid(n, 2048, 16)
-        prof = selected_profile(grid, modes, rng.integers(0, modes + 1, grid.count))
+        cut = rng.integers(0, modes + 1, grid.count)
         tracemalloc.start()
         try:
-            reconstruct(imfs, prof, grid)
+            reconstruct(imfs, cut, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,34 +291,36 @@ class TestReconstruct:
         sig = Signal(x, 16000)
         imfs = eemd(sig, FAST_EEMD)
         grid = frame_grid(n, 2048, 256)
-        prof = profile_alpha(imfs, x, grid)
-        return sig, imfs, grid, prof
+        return sig, imfs, grid
 
     def test_keep_all_is_identity_to_mode_sum(self):
-        sig, imfs, grid, prof = self._setup()
-        prof.thresholds = np.full(grid.count, 2.0)
-        prof.cut_index = np.full(grid.count, imfs.mode_count, dtype=int)
-        out = reconstruct(imfs, prof, grid)
+        sig, imfs, grid = self._setup()
+        out = reconstruct(imfs, np.full(grid.count, imfs.mode_count), grid)
         mode_sum = imfs.modes.sum(axis=0)
         peak = np.max(np.abs(mode_sum))
         assert np.max(np.abs(out - mode_sum)) < 1e-6 * peak
 
     def test_keep_none_is_silence(self):
-        sig, imfs, grid, prof = self._setup()
-        prof.thresholds = np.zeros(grid.count)
-        prof.cut_index = np.zeros(grid.count, dtype=int)
-        out = reconstruct(imfs, prof, grid)
+        sig, imfs, grid = self._setup()
+        out = reconstruct(imfs, np.zeros(grid.count, dtype=int), grid)
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_requires_selection(self):
-        sig, imfs, grid, prof = self._setup()
-        with pytest.raises(ValueError, match="cut"):
-            reconstruct(imfs, prof, grid)
+    def test_cut_index_outside_mode_count_rejected(self):
+        n, modes = 1000, 3
+        imfs = random_imfs(np.random.default_rng(1), n, modes)
+        grid = frame_grid(n, 128, 64)
+        for bad in (-1, modes + 1):
+            cut = np.full(grid.count, modes)
+            cut[grid.count // 2] = bad
+            with pytest.raises(ValueError, match=r"integers in 0\.\.3"):
+                reconstruct(imfs, cut, grid)
+        with pytest.raises(ValueError, match=r"integers in 0\.\.3"):
+            reconstruct(imfs, np.full(grid.count, 1.5), grid)
 
     def test_output_length_exact(self):
-        sig, imfs, grid, prof = self._setup()
-        apply_selection(prof, small_cfg())
-        out = reconstruct(imfs, prof, grid)
+        sig, imfs, grid = self._setup()
+        prof = apply_selection(*profile_alpha(imfs, sig.samples, grid), small_cfg())
+        out = reconstruct(imfs, prof.cut_index, grid)
         assert len(out) == len(sig)
 
 
@@ -354,20 +373,14 @@ class TestEnhance:
         noisy = Signal(x + noise * np.sqrt(np.mean(x ** 2) / np.mean(noise ** 2)), 16000)
         imfs = eemd(noisy, FAST_EEMD)
         grid = frame_grid(len(noisy), 2048, 256)
-        prof = profile_alpha(imfs, noisy.samples, grid)
-        for q in range(grid.count):
-            z_lo = select_cut(prof.per_mode[q], 1.0)
-            z_hi = select_cut(prof.per_mode[q], 1.5)
-            assert z_hi >= z_lo
+        per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
+        assert np.all(cuts(per_mode, 1.5) >= cuts(per_mode, 1.0))
 
 
 class TestProfileCsv:
     def test_csv_schema(self, tmp_path):
-        prof = AlphaProfile(
-            per_mode=np.array([[1.0, 2.0], [1.5, 1.8]]),
-            noisy=np.array([1.2, 1.4]),
-        )
-        apply_selection(prof, small_cfg())
+        prof = apply_selection(np.array([[1.0, 2.0], [1.5, 1.8]]), np.array([1.2, 1.4]),
+                               small_cfg())
         path = tmp_path / "profile.csv"
         prof.write_csv(path)
         lines = path.read_text().strip().splitlines()

@@ -5,8 +5,8 @@ from scipy.linalg import toeplitz
 
 from hhtalpha import Signal, evaluate, fwsnrseg, llr, map_intelligibility, sample_sas, stoi
 from hhtalpha.metrics import (ACTIVE_FLOOR_DB, FRAME_MS, HOP_MS, LPC_ORDER, STOI_CLIP_DB,
-                              STOI_DYN_RANGE_DB, STOI_FRAME, STOI_HOP, STOI_MAP_A, STOI_MAP_B,
-                              STOI_NFFT, STOI_RATE, STOI_SEG_FRAMES, _lpc, _octave_band_matrix,
+                              LPC_ERR_FLOOR, STOI_DYN_RANGE_DB, STOI_FRAME, STOI_HOP, STOI_MAP_A,
+                              STOI_MAP_B, STOI_NFFT, STOI_RATE, STOI_SEG_FRAMES, _lpc, _octave_band_matrix,
                               _overlap_add)
 from hhtalpha.signal import resample
 
@@ -30,7 +30,8 @@ def degraded(clean, snr_db, seed=17, kind="gaussian"):
 
 def reference_levinson(r, order):
     """Scalar Levinson-Durbin: LPC coefficients and the iteration at which
-    the prediction error reached <= 0 and the recursion stopped, or None."""
+    the prediction error fell to LPC_ERR_FLOOR * r[0] and the recursion
+    stopped, or None."""
     a = np.zeros(order + 1)
     a[0] = 1.0
     err = r[0]
@@ -39,7 +40,7 @@ def reference_levinson(r, order):
         k = -acc / err
         a[1:i + 1] += k * a[i - 1::-1][:i]
         err *= 1.0 - k * k
-        if err <= 0.0:
+        if err <= LPC_ERR_FLOOR * r[0]:
             return a, i
     return a, None
 
@@ -274,6 +275,17 @@ class TestOracle:
         want, stops, _ = reference_llr(clean, processed)
         assert any(c_stop is not None for c_stop, _ in stops)
         assert llr(clean, processed) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [0.001, 0.004])
+    def test_clean_gain_leaves_the_score_unchanged(self, width):
+        # the recursion's stop floor scales with each frame's power, so the
+        # same near-singular clean frames are skipped at every gain
+        pulsed = with_pulses(Signal(make_speech_proxy(), RATE), width)
+        noise = np.random.default_rng(0).standard_normal(len(pulsed))
+        processed = Signal(pulsed.samples + 0.01 * noise, RATE)
+        scores = [llr(Signal(gain * pulsed.samples, RATE), processed)
+                  for gain in (1e-3, 0.3, 0.7, 1.0, 3.0)]
+        np.testing.assert_allclose(scores, scores[3], rtol=0, atol=1e-14)
 
     def test_recursion_freezes_each_row_where_it_stopped(self):
         rows = np.array([[1.0, 0.5, -0.5, 0.3, 0.1],     # error exactly 0 at iteration 2

@@ -1,0 +1,35 @@
+"""The README's library example runs as written, and PAPER.md carries the same copy."""
+
+import re
+from pathlib import Path
+
+from hhtalpha import Signal, sample_sas, write_wav
+
+from conftest import RATE, make_speech_proxy, mix_at_snr
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def library_example(doc: str) -> str:
+    """The python block under the "## Library example" heading of `doc`."""
+    text = (ROOT / doc).read_text()
+    match = re.search(r"^## Library example\n.*?^```python\n(.*?)^```$", text, re.M | re.S)
+    assert match, f"{doc} has no library example"
+    return match.group(1)
+
+
+def test_paper_md_carries_the_same_example():
+    assert library_example("PAPER.md") == library_example("README.md")
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    clean = make_speech_proxy(n=RATE, bursts=((0.1, 0.3), (0.55, 0.3)))
+    noisy = mix_at_snr(clean, sample_sas(1.2, len(clean), 3), 0.0)
+    write_wav(Signal(clean, RATE), tmp_path / "clean.wav")
+    write_wav(Signal(noisy, RATE), tmp_path / "noisy.wav")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(library_example("README.md"), "README.md", "exec"), namespace)
+    assert (tmp_path / "enhanced.wav").exists()
+    assert len(namespace["enhanced"]) == RATE
+    assert namespace["profile"].cut_index.shape == (namespace["grid"].count,)

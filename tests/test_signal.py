@@ -66,6 +66,15 @@ class TestWav:
         with pytest.raises(ValueError, match=re.escape(f"truncated WAV {path}: ")):
             read_wav(path)
 
+    # an empty file, and a float32 file cut inside its header
+    @pytest.mark.parametrize("cut", [0, 50])
+    def test_unreadable_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "bad.wav"
+        write_wav(Signal(np.zeros(38400), 16000), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"unreadable WAV {path}: ")):
+            read_wav(path)
+
     def test_unknown_chunk_still_reads(self, tmp_path):
         import struct
 
