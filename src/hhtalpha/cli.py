@@ -104,6 +104,8 @@ def cmd_mix(args) -> int:
     n = n[offset : offset + len(clean)]
     active = _active_mask(clean.samples, clean.sample_rate)
     p_clean = float(np.mean(clean.samples[active] ** 2))
+    if p_clean == 0.0:
+        raise ValueError("clean file is silent")
     p_noise = float(np.mean(n ** 2))
     if p_noise == 0.0:
         raise ValueError("noise file is silent")

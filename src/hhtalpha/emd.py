@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import mmap
-import multiprocessing
-import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._fork import FORK, fork_map
 from .signal import Signal
 
 # Shortest signal `emd` and `eemd` decompose.
@@ -261,34 +259,6 @@ class _Trials:
         return len(rows)
 
 
-# The ensemble a pool worker serves; set by the pool's initializer, so only
-# worker processes ever hold one.
-_worker_trials = None
-
-
-def _enter_worker(trials: _Trials) -> None:
-    global _worker_trials
-    _worker_trials = trials
-
-
-def _worker_run(n: int) -> int:
-    return _worker_trials.run(n)
-
-
-def _worker_count(ensemble_size: int) -> int:
-    """Processes for the trials: one per usable core, at most one per trial.
-
-    1 (the trials run in the calling process) where the platform lacks fork
-    or sched_getaffinity, or where the caller runs other threads: a forked
-    child can inherit a lock another thread held, and then never gets it.
-    """
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), ensemble_size)
-
-
 def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     """Noise-ensemble decomposition.
 
@@ -298,11 +268,10 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     is defined as the input minus the summed averaged modes, so completeness
     holds exactly.  Fully deterministic given cfg.master_seed.
 
-    The trials run in forked worker processes, one per usable core, where the
-    platform has fork; otherwise, or when the caller runs other threads, they
-    run in the calling process.  Each trial adds its modes into one shared sum
-    in trial order, so the output is bit-identical either way.  Pinning the
-    process to one core (`taskset -c 0`) runs the trials in-process.
+    The trials run through `fork_map`: on forked workers, one per usable
+    core, or in the calling process (on one core, without fork, or when the
+    caller runs other threads).  Each trial adds its modes into one shared sum
+    in trial order, so the output is bit-identical either way.
     """
     _check_length(signal)
     x = signal.samples
@@ -317,16 +286,10 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     # anonymous shared memory, mapped before any fork, so the workers' sums land here
     shared = mmap.mmap(-1, cfg.max_modes * len(x) * np.dtype(np.float64).itemsize)
     acc = np.frombuffer(shared, dtype=np.float64).reshape(cfg.max_modes, len(x))
-    workers = _worker_count(cfg.ensemble_size)
-    if workers == 1:
-        trials = _Trials(signal, noise_std, cfg, acc, SimpleNamespace(value=0), threading.Condition())
-        produced = max(map(trials.run, range(cfg.ensemble_size)))
-    else:
-        context = multiprocessing.get_context("fork")
-        trials = _Trials(signal, noise_std, cfg, acc, context.Value("q", 0, lock=False),
-                         context.Condition())
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
-                                 initargs=(trials,)) as pool:
-            produced = max(pool.map(_worker_run, range(cfg.ensemble_size)))
+    # the turn is shared across a fork wherever fork_map could fork
+    turn, cond = ((SimpleNamespace(value=0), threading.Condition()) if FORK is None
+                  else (FORK.Value("q", 0, lock=False), FORK.Condition()))
+    trials = _Trials(signal, noise_std, cfg, acc, turn, cond)
+    produced = max(fork_map(trials.run, cfg.ensemble_size))
     residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size
     return ImfSet(acc[:produced] / cfg.ensemble_size, residual, signal.sample_rate)

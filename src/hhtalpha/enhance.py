@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import fork_map
 from .emd import EemdConfig, ImfSet, eemd
 from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add
 from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
@@ -86,7 +87,9 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
     one value per frame.  Degenerate frames get the sentinel value 2.0.
 
     Each sequence's frames are scored from their order statistics, read by
-    one sliding sorted window, so memory is O(length + frame_len).
+    one sliding sorted window, so memory is O(length + frame_len) per
+    sequence.  The sequences are scored through `fork_map`, as EEMD's trials
+    are; the output is bit-identical wherever they run.
     """
     if imfs.source_len != len(noisy):
         raise ValueError("mode length does not match the noisy signal")
@@ -99,10 +102,10 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
         nu = nu_from_order_stats(frame_order_stats(samples, grid, ranks), gamma)
         return np.nan_to_num(alpha_from_nu(nu), nan=DEGENERATE_ALPHA)
 
-    per_mode = np.empty((grid.count, imfs.mode_count))
-    for m, mode in enumerate(imfs.modes):
-        per_mode[:, m] = frame_alphas(mode)
-    return per_mode, frame_alphas(noisy)
+    sequences = (*imfs.modes, noisy)
+    *columns, noisy_alphas = fork_map(lambda i: frame_alphas(sequences[i]), len(sequences))
+    per_mode = np.reshape(columns, (imfs.mode_count, grid.count)).T.copy()
+    return per_mode, noisy_alphas
 
 
 def apply_selection(per_mode, noisy, cfg: EnhanceConfig) -> AlphaProfile:

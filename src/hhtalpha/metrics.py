@@ -80,6 +80,7 @@ def _check_pair(clean: Signal, processed: Signal) -> None:
 def _active_frames(clean: Signal, processed: Signal):
     """Windowed (clean, processed) frame matrices of the active frames only:
     those whose clean energy is within ACTIVE_FLOOR_DB of the loudest frame."""
+    _check_pair(clean, processed)
     n = int(round(FRAME_MS * clean.sample_rate / 1000.0))
     hop = int(round(HOP_MS * clean.sample_rate / 1000.0))
     if n < 1 or hop < 1:
@@ -140,8 +141,11 @@ def llr(clean: Signal, processed: Signal) -> float:
     prediction error fell to LPC_ERR_FLOOR of the frame's power, so
     a_c R_c a_c' is round-off).
     """
-    _check_pair(clean, processed)
-    c_frames, p_frames = _active_frames(clean, processed)
+    return _llr(*_active_frames(clean, processed))
+
+
+def _llr(c_frames: np.ndarray, p_frames: np.ndarray) -> float:
+    """`llr` of the active (clean, processed) frame matrices."""
     if c_frames.shape[1] <= LPC_ORDER:
         raise ValueError("analysis frame shorter than the LPC order")
     rc = _autocorr(c_frames, LPC_ORDER)
@@ -185,11 +189,14 @@ def fwsnrseg(clean: Signal, processed: Signal) -> float:
     weights are (clean magnitude)**0.2; per-band SNR clamped to [-10, 35] dB;
     averaged over active frames.  Identical inputs score the 35 dB ceiling.
     """
-    _check_pair(clean, processed)
-    c_frames, p_frames = _active_frames(clean, processed)
+    return _fwsnrseg(*_active_frames(clean, processed), clean.sample_rate)
+
+
+def _fwsnrseg(c_frames: np.ndarray, p_frames: np.ndarray, rate: int) -> float:
+    """`fwsnrseg` of the active (clean, processed) frame matrices."""
     n = c_frames.shape[1]
-    freqs = np.fft.rfftfreq(n, 1.0 / clean.sample_rate)
-    hi = min(BAND_HI_HZ, clean.sample_rate / 2.0)
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    hi = min(BAND_HI_HZ, rate / 2.0)
     bank = _triangular_bank(N_BANDS, BAND_LO_HZ, hi, freqs)
     cs = np.abs(np.fft.rfft(c_frames, axis=1))
     ps = np.abs(np.fft.rfft(p_frames, axis=1))
@@ -282,18 +289,21 @@ def stoi(clean: Signal, processed: Signal) -> float:
 
 
 def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")) -> MetricReport:
-    """Compute the requested metrics for a clean/processed pair."""
+    """Compute the requested metrics for a clean/processed pair, framing it once."""
     if not which:
         raise ValueError("no metric requested")
     unknown = [name for name in which if name not in ("llr", "fwsnrseg", "stoi")]
     if unknown:
         raise ValueError(f"unknown metric: {unknown[0]!r}")
     report = MetricReport()
+    frames = None
     for name in which:
+        if name in ("llr", "fwsnrseg") and frames is None:
+            frames = _active_frames(clean, processed)
         if name == "llr":
-            report.llr = llr(clean, processed)
+            report.llr = _llr(*frames)
         elif name == "fwsnrseg":
-            report.fwsnrseg_db = fwsnrseg(clean, processed)
+            report.fwsnrseg_db = _fwsnrseg(*frames, clean.sample_rate)
         elif name == "stoi":
             report.stoi = stoi(clean, processed)
             report.stoi_pct = float(map_intelligibility(report.stoi))

@@ -211,9 +211,6 @@ def resample(signal: Signal, target_rate: int) -> Signal:
     from scipy.signal import resample_poly
 
     out = resample_poly(signal.samples, up, down)
+    # resample_poly returns ceil(len * up / down) samples, never fewer than wanted
     want = round(len(signal) * target_rate / signal.sample_rate)
-    if len(out) > want:
-        out = out[:want]
-    elif len(out) < want:
-        out = np.pad(out, (0, want - len(out)))
-    return Signal(out, target_rate)
+    return Signal(out[:want], target_rate)

@@ -1,3 +1,8 @@
+import contextlib
+import multiprocessing
+import signal
+import time
+
 import numpy as np
 import pytest
 from scipy.signal import butter, lfilter
@@ -51,3 +56,22 @@ def noisy_pair(speech_proxy):
     noise = sample_sas(1.2, len(speech_proxy), 13)
     noisy = mix_at_snr(speech_proxy.samples, noise, 0.0)
     return speech_proxy, Signal(noisy, RATE)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail a body that overruns `seconds` instead of hanging the run: at the
+    deadline the pool's workers are killed, so a stalled pool raises."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    start = time.monotonic()
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < seconds

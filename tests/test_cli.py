@@ -112,6 +112,21 @@ class TestMix:
         assert capsys.readouterr().err == f"error: {paths[empty]} is empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", [-10, 0, 20])
+    @pytest.mark.parametrize("silent", ["clean", "noise"])
+    def test_silent_input_fails(self, tmp_path, clean_wav, capsys, silent, snr_db):
+        # a silent clean file would make the noise gain 0 and the mix pure silence
+        paths = {"clean": clean_wav, "noise": tmp_path / "n.wav"}
+        run("synth-noise", "--alpha", 2.0, "--duration", 2.0, "--seed", 3,
+            "--out", paths["noise"])
+        paths[silent] = tmp_path / "silent.wav"
+        write_wav(Signal(np.zeros(16384), RATE), paths[silent])
+        out = tmp_path / "mix.wav"
+        assert run("mix", "--clean", paths["clean"], "--noise", paths["noise"],
+                   "--snr-db", snr_db, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {silent} file is silent\n"
+        assert not out.exists()
+
 
 class TestEval:
     def test_identity_report(self, tmp_path, clean_wav, capsys):

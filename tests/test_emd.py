@@ -1,8 +1,6 @@
-import contextlib
 import importlib
 import multiprocessing
 import os
-import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -14,8 +12,11 @@ from scipy.interpolate import CubicSpline
 from hhtalpha import EemdConfig, Signal, eemd, emd, sift
 from hhtalpha.emd import ImfSet, envelope, find_extrema
 
+from conftest import within
+
 # the package re-exports the function `emd`, which shadows the submodule name
 emd_module = importlib.import_module("hhtalpha.emd")
+fork_module = importlib.import_module("hhtalpha._fork")
 
 
 def tone(freq, rate=8000, dur=1.0):
@@ -47,25 +48,6 @@ def reference_eemd(x, rate, cfg):
         produced = max(produced, imfs.mode_count)
         acc[: imfs.mode_count] += imfs.modes
     return acc[:produced] / cfg.ensemble_size, x - acc[:produced].sum(axis=0) / cfg.ensemble_size
-
-
-@contextlib.contextmanager
-def within(seconds):
-    """Fail a body that overruns `seconds` instead of hanging the run: at the
-    deadline the pool's workers are killed, so a stalled `eemd` raises."""
-    def expire(signum, frame):
-        for child in multiprocessing.active_children():
-            child.kill()
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    start = time.monotonic()
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start < seconds
 
 
 class TestFindExtrema:
@@ -367,7 +349,7 @@ class TestEemd:
             return ProcessPoolExecutor(workers, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(emd_module, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", recording_pool)
         with within(60):
             imfs = eemd(Signal(x, 8000), cfg)
         assert pools == ([cpus] if cpus > 1 else [])
@@ -408,7 +390,7 @@ class TestEemd:
             raise AssertionError("a caller with threads must not fork")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(emd_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
         x = np.random.default_rng(13).standard_normal(1024)
         cfg = EemdConfig(ensemble_size=4, master_seed=5)
         release = threading.Event()

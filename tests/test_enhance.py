@@ -1,6 +1,10 @@
 import dataclasses
 import importlib
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,10 +27,11 @@ from hhtalpha import (
 from hhtalpha.emd import ImfSet
 from hhtalpha.enhance import apply_selection
 
-from conftest import make_speech_proxy
+from conftest import make_speech_proxy, within
 
 # the package re-exports the function `enhance`, which shadows the submodule name
 enhance_module = importlib.import_module("hhtalpha.enhance")
+fork_module = importlib.import_module("hhtalpha._fork")
 
 FAST_EEMD = EemdConfig(max_modes=6, ensemble_size=3, ensemble_snr_db=30.0, master_seed=1)
 
@@ -178,8 +183,10 @@ class TestProfileAlpha:
         expected = quantile_profile(imfs, short.samples, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-    def test_memory_independent_of_frame_overlap(self):
-        # 80 frames cover each sample; a frames matrix would take 80 x length
+    def test_memory_independent_of_frame_overlap(self, monkeypatch):
+        # 80 frames cover each sample; a frames matrix would take 80 x length.
+        # One core, so the sequences are scored where tracemalloc sees them.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n, modes = 16000, 4
         imfs = random_imfs(np.random.default_rng(5), n, modes)
         noisy = imfs.total()
@@ -191,6 +198,92 @@ class TestProfileAlpha:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * (n + grid.frame_len) * 8
+
+
+class TestProfileOnAnyCoreCount:
+    """The 11 sequences (10 modes plus the noisy input) are scored on forked
+    workers; the bytes must not depend on how many."""
+
+    @staticmethod
+    def sequences():
+        imfs = random_imfs(np.random.default_rng(21), 4096, 10)
+        return imfs, imfs.total(), frame_grid(4096, 1024, 128)
+
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        pools = []
+
+        def recording_pool(workers, **kwargs):
+            pools.append(workers)
+            return ProcessPoolExecutor(workers, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", recording_pool)
+        return pools
+
+    @pytest.mark.parametrize("cpus", [1, 2, 6])
+    def test_bit_equal_on_any_core_count(self, monkeypatch, cpus):
+        imfs, noisy, grid = self.sequences()
+        pools = self.record_pools(monkeypatch, cpus)
+        with within(60):
+            got = profile_alpha(imfs, noisy, grid)
+        assert pools == ([cpus] if cpus > 1 else [])
+        expected = quantile_profile(imfs, noisy, grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert multiprocessing.active_children() == []
+
+    def test_analyse_forks_both_stages(self, monkeypatch, noisy_pair):
+        _, noisy = noisy_pair
+        short = Signal(noisy.samples[:8192], noisy.sample_rate)
+        self.record_pools(monkeypatch, 1)
+        serial_imfs, _, serial_profile = analyse(short, small_cfg())
+        pools = self.record_pools(monkeypatch, 2)
+        with within(60):
+            imfs, _, profile = analyse(short, small_cfg())
+        # one pool for the EEMD trials, then one for the profiling
+        assert pools == [2, 2]
+        assert imfs.modes.tobytes() == serial_imfs.modes.tobytes()
+        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
+            assert getattr(profile, name).tobytes() == getattr(serial_profile, name).tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_threaded_caller_profiles_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a caller with threads must not fork")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
+        imfs, noisy, grid = self.sequences()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = profile_alpha(imfs, noisy, grid)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        expected = quantile_profile(imfs, noisy, grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_sequence_reaches_caller(self, monkeypatch, cpus):
+        # forked workers inherit the patch; only mode 4's scoring raises
+        imfs, noisy, grid = self.sequences()
+        original = enhance_module.frame_order_stats
+
+        def failing_order_stats(samples, grid, ranks):
+            if np.array_equal(samples, imfs.modes[3]):
+                raise RuntimeError("scoring failed")
+            return original(samples, grid, ranks)
+
+        self.record_pools(monkeypatch, cpus)
+        monkeypatch.setattr(enhance_module, "frame_order_stats", failing_order_stats)
+        with within(60):
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                profile_alpha(imfs, noisy, grid)
+        assert multiprocessing.active_children() == []
 
 
 def quantile_profile(imfs, noisy, grid):

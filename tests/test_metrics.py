@@ -3,6 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
+import hhtalpha.metrics as metrics_module
 from hhtalpha import Signal, evaluate, fwsnrseg, llr, map_intelligibility, sample_sas, stoi
 from hhtalpha.metrics import (ACTIVE_FLOOR_DB, FRAME_MS, HOP_MS, LPC_ORDER, STOI_CLIP_DB,
                               LPC_ERR_FLOOR, STOI_DYN_RANGE_DB, STOI_FRAME, STOI_HOP, STOI_MAP_A,
@@ -242,6 +243,29 @@ class TestEvaluate:
         monkeypatch.setattr("hhtalpha.metrics.stoi", lambda *a: pytest.fail("stoi computed"))
         with pytest.raises(ValueError, match="'pesq'"):
             evaluate(clean, clean, which=("stoi", "pesq"))
+
+    @pytest.mark.parametrize("which", [("llr", "fwsnrseg", "stoi"), ("fwsnrseg", "llr")])
+    def test_bit_equal_to_separate_calls(self, clean, which):
+        processed = degraded(clean, 0.0, kind="sas")
+        report = evaluate(clean, processed, which=which)
+        assert report.llr == llr(clean, processed)
+        assert report.fwsnrseg_db == fwsnrseg(clean, processed)
+        if "stoi" in which:
+            assert report.stoi == stoi(clean, processed)
+
+    def test_pair_framed_once(self, clean, monkeypatch):
+        calls = []
+        original = metrics_module._active_frames
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(metrics_module, "_active_frames", counting)
+        evaluate(clean, degraded(clean, 5.0))
+        assert len(calls) == 1
+        evaluate(clean, clean, which=("stoi",))
+        assert len(calls) == 1
 
 
 class TestOracle:
