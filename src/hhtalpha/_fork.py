@@ -1,9 +1,15 @@
-"""Index maps run on forked worker processes, one per usable core."""
+"""Process work behind one module: index maps on forked workers, one per
+usable core, and sums of their results in index order.  No other module
+imports multiprocessing, mmap, threading or concurrent.futures (a test checks)."""
 
+import math
+import mmap
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 # The function a pool worker maps; set by the pool's initializer, so only
 # worker processes ever hold one.
@@ -41,3 +47,38 @@ def fork_map(fn, count: int) -> list:
     with ProcessPoolExecutor(workers, mp_context=FORK, initializer=_enter_worker,
                              initargs=(fn,)) as pool:
         return list(pool.map(_worker_call, range(count)))
+
+
+def fork_sum(fn, count: int, shape: tuple) -> tuple:
+    """(total, rows): the zero float64 `shape` array with each fn(i), a
+    (rows[i], shape[1]) array, added into its leading rows in index order.
+
+    The calls run through `fork_map`; each adds its result once a shared turn
+    reaches its index, so the bytes never depend on which process made it.
+    """
+    # anonymous shared memory, mapped before any fork, so the workers' sums land here
+    total = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+    context = FORK or multiprocessing.get_context()  # shared across fork_map's forks
+    turn, cond = context.Value("q", 0, lock=False), context.Condition()
+    held = None
+
+    def add(i: int) -> int:
+        nonlocal held
+        part = total[:0]  # no rows, unless fn returns
+        try:
+            part = fn(i)
+        finally:
+            # a call that raised still takes its turn, so later calls never wait on it
+            with cond:
+                cond.wait_for(lambda: turn.value == i)
+                total[: len(part)] += part
+                turn.value = i + 1
+                cond.notify_all()
+        # Keep this call's result until the next call in this process ends:
+        # freed with its temporaries, an EEMD trial's modes let malloc hand the
+        # top of the heap back, and the next trial faults it all in again
+        # (about 15 % more CPU time per trial on a 2.4 s input at 16 kHz).
+        held = part
+        return len(part)
+
+    return total, fork_map(add, count)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .enhance import EnhanceConfig, analyse
 from .enhance import enhance as run_enhance
-from .metrics import evaluate
+from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, evaluate
 from .emd import EemdConfig, eemd
 from .signal import Signal, read_wav, write_wav
 from .stable import sample_sas
@@ -89,6 +89,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    if not args.snr_db > -np.inf:
+        raise ValueError(f"--snr-db must be a number of dB or inf (no noise), got {args.snr_db}")
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
     for path, sig in ((args.clean, clean), (args.noise, noise)):
@@ -114,14 +116,14 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _active_mask(x: np.ndarray, rate: int, frame_ms=32.0, floor_db=40.0) -> np.ndarray:
-    """Sample mask covering frames within floor_db of the loudest frame."""
-    n = int(round(frame_ms * rate / 1000.0))
+def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
+    """Sample mask covering FRAME_MS frames within ACTIVE_FLOOR_DB of the loudest."""
+    n = int(round(FRAME_MS * rate / 1000.0))
     if len(x) < n:
         return np.ones(len(x), bool)
     count = len(x) // n
     energy = np.sum(x[: count * n].reshape(count, n) ** 2, axis=1)
-    keep = energy >= energy.max() * 10.0 ** (-floor_db / 10.0)
+    keep = energy >= energy.max() * 10.0 ** (-ACTIVE_FLOOR_DB / 10.0)
     mask = np.zeros(len(x), bool)
     mask[: count * n] = np.repeat(keep, n)
     mask[count * n :] = keep[-1] if count else True
@@ -129,6 +131,8 @@ def _active_mask(x: np.ndarray, rate: int, frame_ms=32.0, floor_db=40.0) -> np.n
 
 
 def cmd_synth_noise(args) -> int:
+    if not np.isfinite(args.duration):
+        raise ValueError(f"--duration must be a finite number of seconds, got {args.duration}")
     n = int(round(args.duration * args.rate))
     if n < 1:
         raise ValueError("--duration must span at least one sample at --rate")

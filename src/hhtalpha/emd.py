@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import mmap
-import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ._fork import FORK, fork_map
+from ._fork import fork_sum
 from .signal import Signal
 
 # Shortest signal `emd` and `eemd` decompose.
@@ -158,12 +155,12 @@ def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> 
     return _natural_spline(indices, values, length)
 
 
-def _mean_envelope(x: np.ndarray, pad: int):
+def _mean_envelope(x: np.ndarray):
     (max_i, max_v), (min_i, min_v) = find_extrema(x)
     if len(max_i) < 2 or len(min_i) < 2:
         return None
-    upper = envelope(max_i, max_v, len(x), pad)
-    lower = envelope(min_i, min_v, len(x), pad)
+    upper = envelope(max_i, max_v, len(x), BOUNDARY_PAD_EXTREMA)
+    lower = envelope(min_i, min_v, len(x), BOUNDARY_PAD_EXTREMA)
     return 0.5 * (upper + lower)
 
 
@@ -176,7 +173,7 @@ def sift(x: np.ndarray) -> np.ndarray | None:
     """
     h = np.array(x, dtype=np.float64)
     for i in range(MAX_SIFT_ITERS):
-        mean = _mean_envelope(h, BOUNDARY_PAD_EXTREMA)
+        mean = _mean_envelope(h)
         if mean is None:
             if i == 0:
                 return None
@@ -219,46 +216,6 @@ def emd(signal: Signal, max_modes: int = 10) -> ImfSet:
     return ImfSet(modes[:count], residual, signal.sample_rate)
 
 
-@dataclass
-class _Trials:
-    """One EEMD ensemble: its noisy trials and the running sum of their modes.
-
-    `acc` is the (max_modes, length) sum; a trial adds its modes only when
-    `turn.value` equals its number, so the additions happen in trial order
-    whichever process runs the trial, and the sum's bytes never depend on it.
-    """
-
-    signal: Signal
-    noise_std: float
-    cfg: EemdConfig
-    acc: np.ndarray
-    turn: object
-    cond: object
-    held: np.ndarray | None = None
-
-    def run(self, n: int) -> int:
-        """EMD of the n-th noisy copy, added into `acc` in turn; returns its mode count."""
-        rows = self.acc[:0]  # no rows, unless the EMD below returns
-        try:
-            rng = np.random.default_rng(np.random.SeedSequence([self.cfg.master_seed, n]))
-            x = self.signal.samples
-            noisy = x + self.noise_std * rng.standard_normal(len(x))
-            rows = emd(Signal(noisy, self.signal.sample_rate), self.cfg.max_modes).modes
-        finally:
-            # a trial that raised still takes its turn, so later trials never wait on it
-            with self.cond:
-                self.cond.wait_for(lambda: self.turn.value == n)
-                self.acc[: len(rows)] += rows
-                self.turn.value = n + 1
-                self.cond.notify_all()
-        # Keep this trial's modes until the next trial in this process ends.
-        # Freed together with its temporaries, they let malloc hand the top of
-        # the heap back to the system, and the next trial faults it all in
-        # again: about 15 % more CPU time per trial on a 2.4 s input at 16 kHz.
-        self.held = rows
-        return len(rows)
-
-
 def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     """Noise-ensemble decomposition.
 
@@ -268,10 +225,9 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     is defined as the input minus the summed averaged modes, so completeness
     holds exactly.  Fully deterministic given cfg.master_seed.
 
-    The trials run through `fork_map`: on forked workers, one per usable
-    core, or in the calling process (on one core, without fork, or when the
-    caller runs other threads).  Each trial adds its modes into one shared sum
-    in trial order, so the output is bit-identical either way.
+    The trials run through `fork_sum`, on forked workers or in the calling
+    process, and each adds its modes into one shared sum in trial order, so
+    the output is bit-identical either way.
     """
     _check_length(signal)
     x = signal.samples
@@ -283,13 +239,13 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     if noise_std == 0.0:
         # every trial would be identical; the ensemble degenerates to plain EMD
         return emd(signal, cfg.max_modes)
-    # anonymous shared memory, mapped before any fork, so the workers' sums land here
-    shared = mmap.mmap(-1, cfg.max_modes * len(x) * np.dtype(np.float64).itemsize)
-    acc = np.frombuffer(shared, dtype=np.float64).reshape(cfg.max_modes, len(x))
-    # the turn is shared across a fork wherever fork_map could fork
-    turn, cond = ((SimpleNamespace(value=0), threading.Condition()) if FORK is None
-                  else (FORK.Value("q", 0, lock=False), FORK.Condition()))
-    trials = _Trials(signal, noise_std, cfg, acc, turn, cond)
-    produced = max(fork_map(trials.run, cfg.ensemble_size))
+
+    def trial(n: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
+        noisy = x + noise_std * rng.standard_normal(len(x))
+        return emd(Signal(noisy, signal.sample_rate), cfg.max_modes).modes
+
+    acc, rows = fork_sum(trial, cfg.ensemble_size, (cfg.max_modes, len(x)))
+    produced = max(rows)
     residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size
     return ImfSet(acc[:produced] / cfg.ensemble_size, residual, signal.sample_rate)

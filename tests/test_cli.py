@@ -50,6 +50,14 @@ class TestSynthNoise:
         assert "--duration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_non_finite_duration_fails(self, tmp_path, capsys, duration):
+        out = tmp_path / "x.wav"
+        assert run("synth-noise", "--alpha", 1.5, f"--duration={duration}", "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: --duration must be a finite number of "
+                                           f"seconds, got {duration}\n")
+        assert not out.exists()
+
 
 class TestMix:
     def test_zero_db_equal_powers(self, tmp_path, clean_wav):
@@ -98,6 +106,24 @@ class TestMix:
                   noise_path)
         assert run("mix", "--clean", clean_wav, "--noise", noise_path,
                    "--snr-db", 0, "--out", tmp_path / "x.wav") == 1
+
+    @pytest.mark.parametrize("snr_db", ["nan", "-inf"])
+    def test_nan_or_minus_inf_snr_fails(self, tmp_path, clean_wav, capsys, snr_db):
+        out = tmp_path / "mix.wav"
+        assert run("mix", "--clean", clean_wav, "--noise", clean_wav, f"--snr-db={snr_db}",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: --snr-db must be a number of dB or inf "
+                                           f"(no noise), got {snr_db}\n")
+        assert not out.exists()
+
+    def test_inf_snr_adds_no_noise(self, tmp_path, clean_wav):
+        noise_path = tmp_path / "n.wav"
+        run("synth-noise", "--alpha", 1.5, "--duration", 0.5, "--seed", 3,
+            "--out", noise_path)
+        out = tmp_path / "mix.wav"
+        assert run("mix", "--clean", clean_wav, "--noise", noise_path, "--snr-db", "inf",
+                   "--out", out) == 0
+        np.testing.assert_array_equal(read_wav(out).samples, read_wav(clean_wav).samples)
 
     @pytest.mark.parametrize("empty", ["clean", "noise"])
     def test_empty_input_fails(self, tmp_path, clean_wav, capsys, empty):

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import multiprocessing
 import os
+import pathlib
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -172,7 +174,7 @@ class TestSift:
         monkeypatch.setattr(emd_module, "SIFT_SD_THRESHOLD", 1e9)
         x = tone(50) + tone(500)
         imf = sift(x)
-        expected = x - emd_module._mean_envelope(x, emd_module.BOUNDARY_PAD_EXTREMA)
+        expected = x - emd_module._mean_envelope(x)
         np.testing.assert_allclose(imf, expected)
 
     @pytest.mark.parametrize("x", [np.linspace(0, 1, 100), np.sin(np.linspace(0, 3 * np.pi, 100))])
@@ -405,3 +407,23 @@ class TestEemd:
         modes, residual = reference_eemd(x, 8000, cfg)
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
+
+
+def test_only_fork_module_imports_process_machinery():
+    # which work runs in which process, and how results combine, is decided
+    # in _fork.py alone
+    banned = {"multiprocessing", "mmap", "threading", "concurrent"}
+    package = pathlib.Path(fork_module.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "_fork.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] in banned]
+    assert found == []

@@ -247,6 +247,26 @@ class TestProfileOnAnyCoreCount:
             assert getattr(profile, name).tobytes() == getattr(serial_profile, name).tobytes()
         assert multiprocessing.active_children() == []
 
+    def test_no_fork_platform_runs_both_stages_in_process(self, monkeypatch, noisy_pair):
+        _, noisy = noisy_pair
+        short = Signal(noisy.samples[:8192], noisy.sample_rate)
+        pools = self.record_pools(monkeypatch, 2)
+        with within(60):
+            forked_imfs, _, forked_profile = analyse(short, small_cfg())
+        assert pools == [2, 2]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a platform without fork must not start a pool")
+
+        monkeypatch.setattr(fork_module, "FORK", None)
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
+        imfs, _, profile = analyse(short, small_cfg())
+        assert imfs.modes.tobytes() == forked_imfs.modes.tobytes()
+        assert imfs.residual.tobytes() == forked_imfs.residual.tobytes()
+        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
+            assert getattr(profile, name).tobytes() == getattr(forked_profile, name).tobytes()
+        assert multiprocessing.active_children() == []
+
     def test_threaded_caller_profiles_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a caller with threads must not fork")
