@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from ._fork import fork_sum
 from .signal import Signal
@@ -80,35 +80,39 @@ def find_extrema(x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     d = np.diff(x)
     # equal neighbours form a plateau; only the steps between plateaus count
-    change = np.flatnonzero(d)
+    change = np.flatnonzero(d != 0)
     rising = d[change] > 0
-    falling = ~rising
-    # plateau j spans change[j] + 1 .. change[j + 1]
-    mid = (change[:-1] + change[1:] + 1) // 2
-    max_idx = mid[rising[:-1] & falling[1:]]
-    min_idx = mid[falling[:-1] & rising[1:]]
+    # plateau j spans change[j] + 1 .. change[j + 1]; a peak rises into it and
+    # falls out of it, a trough the reverse
+    peak = np.flatnonzero(rising[:-1] & ~rising[1:])
+    trough = np.flatnonzero(~rising[:-1] & rising[1:])
+    max_idx = (change[peak] + change[peak + 1] + 1) // 2
+    min_idx = (change[trough] + change[trough + 1] + 1) // 2
     return (max_idx, x[max_idx]), (min_idx, x[min_idx])
 
 
 def _natural_spline(t: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
     """Natural cubic spline through (t, y), evaluated at 0..length-1.
 
-    The second derivatives come from one tridiagonal solve; each segment's
-    cubic is then repeated over the grid points it covers.
+    `t` must be strictly increasing.  The second derivatives come from one
+    tridiagonal solve; each segment's cubic is then repeated over the grid
+    points it covers and evaluated by Horner's rule into one fresh array.
     """
     h = np.diff(t)
-    if np.any(h <= 0):
-        raise ValueError("envelope indices must be strictly increasing")
     slope = np.diff(y) / h
     # second derivatives; the natural end conditions keep m[0] = m[-1] = 0
     m = np.zeros(len(t))
     if len(t) > 2:
-        bands = np.empty((3, len(t) - 2))
-        bands[0, 1:] = h[1:-1]
-        bands[1] = 2.0 * (h[:-1] + h[1:])
-        bands[2, :-1] = h[1:-1]
-        m[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(slope),
-                               overwrite_ab=True, overwrite_b=True, check_finite=False)
+        diag = 2.0 * (h[:-1] + h[1:])
+        rhs = 6.0 * np.diff(slope)
+        if len(t) == 3:
+            # LAPACK's wrapper rejects the empty off-diagonals of a 1 x 1 system
+            m[1] = rhs[0] / diag[0]
+        else:
+            *_, m[1:-1], info = dgtsv(h[1:-1], diag, h[1:-1], rhs,
+                                      overwrite_d=True, overwrite_b=True)
+            if info:
+                raise np.linalg.LinAlgError("singular spline system")
     coef = np.empty((5, len(h)))
     coef[0] = (m[1:] - m[:-1]) / (6.0 * h)
     coef[1] = 0.5 * m[:-1]
@@ -119,39 +123,50 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
     # the end segments reach out to the ends of the grid
     edges = np.clip(np.ceil(t), 0, length).astype(np.intp)
     edges[0], edges[-1] = 0, length
-    cubic, quad, lin, const, start = np.repeat(coef, np.diff(edges), axis=1)
-    dx = np.arange(length) - start
-    return ((cubic * dx + quad) * dx + lin) * dx + const
+    cubic, quad, lin, const, dx = np.repeat(coef, np.diff(edges), axis=1)
+    # dx overwrites the repeated segment starts: the offset of each grid point
+    np.subtract(np.arange(length, dtype=np.float64), dx, out=dx)
+    # out must not be a row of the repeated buffer, or it would keep all of it alive
+    out = cubic * dx
+    out += quad
+    out *= dx
+    out += lin
+    out *= dx
+    out += const
+    return out
 
 
 def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> np.ndarray:
     """Natural cubic spline through extrema, with mirrored boundary points.
 
     Up to `pad` extrema are reflected beyond each end of [0, length) before
-    fitting, to tame end swings.  The spline is evaluated on the integer grid
-    0..length-1.  Grid points outside the knot range follow the polynomial of
-    the nearest end segment (extrapolation, as CubicSpline's default).
+    fitting, to tame end swings; an extremum at index 0 or length-1 is its
+    own mirror image and is not repeated.  The spline is evaluated on the
+    integer grid 0..length-1.  Grid points outside the knot range follow the
+    polynomial of the nearest end segment (extrapolation, as CubicSpline's
+    default).
 
-    Raises ValueError for fewer than 2 knots after mirroring, non-finite
-    indices or values, or indices that are not strictly increasing.
+    Raises ValueError for non-finite indices or values, indices that are not
+    strictly increasing inside [0, length-1], or fewer than 2 knots after
+    mirroring.
     """
     indices = np.asarray(indices, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if pad > 0 and len(indices) > 0:
-        k = min(pad, len(indices))
-        left_t = -indices[:k][::-1]
-        left_v = values[:k][::-1]
-        right_t = 2 * (length - 1) - indices[-k:][::-1]
-        right_v = values[-k:][::-1]
-        indices = np.concatenate([left_t, indices, right_t])
-        values = np.concatenate([left_v, values, right_v])
-        # mirroring can duplicate knots when an extremum sits at an end
-        indices, keep = np.unique(indices, return_index=True)
-        values = values[keep]
-    if len(indices) < 2:
-        raise ValueError("need at least 2 envelope points after mirroring")
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(values))):
         raise ValueError("envelope points must be finite")
+    if len(indices) > 0 and not (indices[0] >= 0 and indices[-1] <= length - 1
+                                 and np.all(np.diff(indices) > 0)):
+        raise ValueError("envelope indices must be strictly increasing within [0, length-1]")
+    if pad > 0 and len(indices) > 0:
+        k = min(pad, len(indices))
+        # the extrema mirrored at each end, less one lying on the end itself
+        head = slice(1 if indices[0] == 0 else 0, k)
+        tail = slice(len(indices) - k, -1 if indices[-1] == length - 1 else None)
+        values = np.concatenate([values[head][::-1], values, values[tail][::-1]])
+        indices = np.concatenate([-indices[head][::-1], indices,
+                                  2 * (length - 1) - indices[tail][::-1]])
+    if len(indices) < 2:
+        raise ValueError("need at least 2 envelope points after mirroring")
     return _natural_spline(indices, values, length)
 
 
@@ -159,9 +174,10 @@ def _mean_envelope(x: np.ndarray):
     (max_i, max_v), (min_i, min_v) = find_extrema(x)
     if len(max_i) < 2 or len(min_i) < 2:
         return None
-    upper = envelope(max_i, max_v, len(x), BOUNDARY_PAD_EXTREMA)
-    lower = envelope(min_i, min_v, len(x), BOUNDARY_PAD_EXTREMA)
-    return 0.5 * (upper + lower)
+    mean = envelope(max_i, max_v, len(x), BOUNDARY_PAD_EXTREMA)
+    mean += envelope(min_i, min_v, len(x), BOUNDARY_PAD_EXTREMA)
+    mean *= 0.5
+    return mean
 
 
 def sift(x: np.ndarray) -> np.ndarray | None:
@@ -182,7 +198,7 @@ def sift(x: np.ndarray) -> np.ndarray | None:
         if denom == 0.0:
             break
         sd = np.sum(mean * mean) / denom
-        h = h - mean
+        h -= mean
         if sd < SIFT_SD_THRESHOLD:
             break
     return h

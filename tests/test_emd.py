@@ -5,16 +5,21 @@ import os
 import pathlib
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
-from hhtalpha import EemdConfig, Signal, eemd, emd, sift
+from hhtalpha import EemdConfig, Signal, eemd, emd, sample_sas, sift
 from hhtalpha.emd import ImfSet, envelope, find_extrema
 
-from conftest import within
+from conftest import make_speech_proxy, mix_at_snr, within
 
 # the package re-exports the function `emd`, which shadows the submodule name
 emd_module = importlib.import_module("hhtalpha.emd")
@@ -26,8 +31,8 @@ def tone(freq, rate=8000, dur=1.0):
     return np.sin(2 * np.pi * freq * t)
 
 
-def reference_envelope(indices, values, length, pad):
-    """`envelope` as scipy's CubicSpline computes it, the oracle for the fast spline."""
+def mirrored_knots(indices, values, length, pad):
+    """`envelope`'s knots as the mirror-then-deduplicate rule gives them."""
     t = np.asarray(indices, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if pad > 0 and len(t) > 0:
@@ -36,7 +41,80 @@ def reference_envelope(indices, values, length, pad):
         y = np.concatenate([y[:k][::-1], y, y[-k:][::-1]])
         t, keep = np.unique(t, return_index=True)
         y = y[keep]
+    return t, y
+
+
+def reference_envelope(indices, values, length, pad):
+    """`envelope` as scipy's CubicSpline computes it, the oracle for the fast spline."""
+    t, y = mirrored_knots(indices, values, length, pad)
     return CubicSpline(t, y, bc_type="natural")(np.arange(length))
+
+
+def reference_find_extrema(x):
+    """The step-sign extrema scan with a midpoint per step, the oracle for `find_extrema`'s bytes."""
+    x = np.asarray(x, dtype=np.float64)
+    d = np.diff(x)
+    change = np.flatnonzero(d)
+    rising = d[change] > 0
+    falling = ~rising
+    mid = (change[:-1] + change[1:] + 1) // 2
+    max_idx = mid[rising[:-1] & falling[1:]]
+    min_idx = mid[falling[:-1] & rising[1:]]
+    return (max_idx, x[max_idx]), (min_idx, x[min_idx])
+
+
+def reference_natural_spline(t, y, length):
+    """The banded-solve spline with expression-wise Horner, the oracle for `_natural_spline`'s bytes."""
+    h = np.diff(t)
+    slope = np.diff(y) / h
+    m = np.zeros(len(t))
+    if len(t) > 2:
+        bands = np.empty((3, len(t) - 2))
+        bands[0, 1:] = h[1:-1]
+        bands[1] = 2.0 * (h[:-1] + h[1:])
+        bands[2, :-1] = h[1:-1]
+        m[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(slope),
+                               overwrite_ab=True, overwrite_b=True, check_finite=False)
+    coef = np.empty((5, len(h)))
+    coef[0] = (m[1:] - m[:-1]) / (6.0 * h)
+    coef[1] = 0.5 * m[:-1]
+    coef[2] = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    coef[3] = y[:-1]
+    coef[4] = t[:-1]
+    edges = np.clip(np.ceil(t), 0, length).astype(np.intp)
+    edges[0], edges[-1] = 0, length
+    cubic, quad, lin, const, start = np.repeat(coef, np.diff(edges), axis=1)
+    dx = np.arange(length) - start
+    return ((cubic * dx + quad) * dx + lin) * dx + const
+
+
+def reference_spline_envelope(indices, values, length, pad):
+    """`envelope` from the two byte oracles above."""
+    return reference_natural_spline(*mirrored_knots(indices, values, length, pad), length)
+
+
+def spline_case(case, length=3000):
+    """Knot indices and values for the envelope oracle tests."""
+    rng = np.random.default_rng(17)
+    if case == "dense":
+        # about length / 3 knots, like the first mode of noise
+        indices = np.sort(rng.choice(np.arange(1, length - 1), length // 3, replace=False))
+    elif case == "sparse":
+        indices = np.sort(rng.choice(np.arange(1, length - 1), 10, replace=False))
+    elif case == "two":
+        indices = np.array([700, 2100])
+    elif case == "three":
+        indices = np.array([400, 1300, 2950])
+    elif case == "first_sample":
+        # an extremum at index 0 is its own mirror image
+        indices = np.array([0, 500, 1250, 2200])
+    else:
+        # as is one at the last index
+        indices = np.array([300, 1250, 2200, length - 1])
+    return indices, 5.0 * rng.standard_normal(len(indices))
+
+
+SPLINE_CASES = ["dense", "sparse", "two", "three", "first_sample", "last_sample"]
 
 
 def reference_eemd(x, rate, cfg):
@@ -96,6 +174,18 @@ class TestFindExtrema:
         (max_i, _), (min_i, _) = find_extrema(np.array([1, 0, 1, 3, 2], dtype=np.uint8))
         assert list(max_i) == [3] and list(min_i) == [1]
 
+    @given(st.one_of(
+        # few distinct levels, so runs of equal samples (plateaus) abound
+        arrays(np.uint8, st.integers(0, 60), elements=st.integers(0, 3)),
+        arrays(np.float64, st.integers(0, 60),
+               elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, np.nan])),
+        arrays(np.float64, st.integers(0, 60), elements=st.floats(-4, 4, width=16))))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_reference(self, x):
+        for got, want in zip(sum(find_extrema(x), ()), sum(reference_find_extrema(x), ())):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestEnvelope:
     def test_constant_points(self):
@@ -128,31 +218,43 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope(np.array(indices), np.array(values), 12, pad=pad)
 
-    def test_unsorted_points(self):
-        with pytest.raises(ValueError):
-            envelope(np.array([5, 2, 8]), np.array([0.0, 1.0, 0.0]), 12, pad=0)
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("indices", [
+        pytest.param([5, 2, 8], id="unsorted"),
+        pytest.param([2, 5, 5, 8], id="repeated"),
+        pytest.param([-1, 5, 8], id="below_zero"),
+        pytest.param([2, 5, 12], id="past_last_index"),
+    ])
+    def test_bad_indices_rejected(self, indices, pad):
+        # checked before mirroring, so a pad cannot sort or merge them away
+        with pytest.raises(ValueError, match="strictly increasing"):
+            envelope(np.array(indices), np.zeros(len(indices)), 12, pad=pad)
 
     @pytest.mark.parametrize("pad", [0, 2])
-    @pytest.mark.parametrize("case", ["dense", "sparse", "two", "three", "first_sample"])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
     def test_matches_cubic_spline(self, case, pad):
-        length = 3000
-        rng = np.random.default_rng(17)
-        if case == "dense":
-            # about length / 3 knots, like the first mode of noise
-            indices = np.sort(rng.choice(np.arange(1, length - 1), length // 3, replace=False))
-        elif case == "sparse":
-            indices = np.sort(rng.choice(np.arange(1, length - 1), 10, replace=False))
-        elif case == "two":
-            indices = np.array([700, 2100])
-        elif case == "three":
-            indices = np.array([400, 1300, 2950])
-        else:
-            # an extremum at index 0 is its own mirror image
-            indices = np.array([0, 500, 1250, 2200])
-        values = 5.0 * rng.standard_normal(len(indices))
-        env = envelope(indices, values, length, pad)
-        ref = reference_envelope(indices, values, length, pad)
+        indices, values = spline_case(case)
+        env = envelope(indices, values, 3000, pad)
+        ref = reference_envelope(indices, values, 3000, pad)
         assert np.max(np.abs(env - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("case", SPLINE_CASES)
+    def test_bytes_match_reference(self, case, pad):
+        indices, values = spline_case(case)
+        env = envelope(indices, values, 3000, pad)
+        assert env.tobytes() == reference_spline_envelope(indices, values, 3000, pad).tobytes()
+
+    def test_one_interior_knot_bytes_match_reference(self):
+        # mirroring one extremum gives three knots: a 1 x 1 second-derivative system
+        assert len(mirrored_knots([1300], [2.0], 3000, 2)[0]) == 3
+        env = envelope(np.array([1300]), np.array([2.0]), 3000, 2)
+        assert env.tobytes() == reference_spline_envelope([1300], [2.0], 3000, 2).tobytes()
+
+    def test_owns_its_buffer(self):
+        indices, values = spline_case("dense")
+        env = envelope(indices, values, 3000, 2)
+        assert env.base is None and env.flags.owndata
 
 
 class TestSift:
@@ -180,6 +282,20 @@ class TestSift:
     @pytest.mark.parametrize("x", [np.linspace(0, 1, 100), np.sin(np.linspace(0, 3 * np.pi, 100))])
     def test_no_mode_without_two_of_each_extremum(self, x):
         assert sift(x) is None
+
+    def test_memory_peak(self):
+        # the spline's repeated coefficient rows die inside `envelope`; a
+        # result that kept them alive would raise this to ~22 values per sample
+        clean = make_speech_proxy()
+        x = mix_at_snr(clean, sample_sas(1.2, len(clean), 13), 0.0)
+        sift(x)
+        tracemalloc.start()
+        try:
+            sift(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.5 * 8 * len(x)
 
 
 class TestImfSet:
@@ -262,6 +378,20 @@ class TestEmd:
         peak = np.max(np.abs(x))
         np.testing.assert_allclose(fast.modes, ref.modes, rtol=0, atol=1e-10 * peak)
         np.testing.assert_allclose(fast.residual, ref.residual, rtol=0, atol=1e-10 * peak)
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_bytes_match_reference(self, monkeypatch, noisy_pair, trial):
+        # the acceptance proxy plus one EEMD trial's noise, as `eemd` sifts it
+        x = noisy_pair[1].samples
+        rng = np.random.default_rng(np.random.SeedSequence([0, trial]))
+        x = x + float(np.std(x)) * 10.0 ** (-30.0 / 20.0) * rng.standard_normal(len(x))
+        fast = emd(Signal(x, 16000))
+        monkeypatch.setattr(emd_module, "find_extrema", reference_find_extrema)
+        monkeypatch.setattr(emd_module, "envelope", reference_spline_envelope)
+        ref = emd(Signal(x, 16000))
+        assert fast.mode_count == ref.mode_count == 10
+        assert fast.modes.tobytes() == ref.modes.tobytes()
+        assert fast.residual.tobytes() == ref.residual.tobytes()
 
     def test_extrema_searched_once_per_mean_envelope(self, monkeypatch):
         calls = {"find_extrema": 0, "_mean_envelope": 0}
