@@ -86,10 +86,11 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
     noisy samples themselves; returns (per_mode, noisy), (frames x modes) and
     one value per frame.  Degenerate frames get the sentinel value 2.0.
 
-    Each sequence's frames are scored from their order statistics, read by
-    one sliding sorted window, so memory is O(length + frame_len) per
-    sequence.  The sequences are scored through `fork_map`, as EEMD's trials
-    are; the output is bit-identical wherever they run.
+    Each sequence's frames are scored from their order statistics, read a
+    block of frames at a time from one merged sorted window, so memory is
+    O(length + frame_len) per sequence.  The sequences are scored through
+    `fork_map`, as EEMD's trials are; the output is bit-identical wherever
+    they run.
     """
     if imfs.source_len != len(noisy):
         raise ValueError("mode length does not match the noisy signal")

@@ -16,6 +16,10 @@ from scipy.io import wavfile
 # corresponding output samples are emitted as zero.
 OVERLAP_EPS = 1e-8
 
+# Frames whose order statistics frame_order_stats reads from one merge of
+# the sorted window.
+ORDER_STATS_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -103,35 +107,78 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     """Order statistics `ranks` of every frame, as a (count, len(ranks)) array.
 
     Row q equals np.sort(extract_frames(samples, grid)[q])[ranks], computed
-    without a frames matrix: frame 0 is sorted once, and each later frame
-    removes from the sorted window the `step` samples that left it and
-    merges in the `step` that entered.  Memory is O(total_len + frame_len)
-    whatever the overlap.
+    without a frames matrix.  Frame 0 is sorted once.  After it, each block
+    of up to ORDER_STATS_BLOCK frames merges all the samples that enter
+    during the block into the sorted window in one stable merge, and each
+    merged value carries its sample offset.  Frame j of the block is that
+    merged run less two sets of positions: the samples that left before it
+    and the ones that enter after it.  Those positions, sorted per frame,
+    turn each rank into one binary search and one lookup in the merged run.
+    Dropping the block's leaving samples gives the next block's window.
+    Memory is O(total_len + frame_len) whatever the overlap.  Raises
+    ValueError for a rank outside 0..frame_len-1.
     """
     frames = extract_frames(samples, grid)
     ranks = np.asarray(ranks, dtype=np.intp)
+    n, step = grid.frame_len, grid.step
+    if np.any((ranks < 0) | (ranks >= n)):
+        raise ValueError(f"ranks must lie in 0..{n - 1}, the positions of a sorted frame")
     out = np.empty((grid.count, len(ranks)))
     if grid.count == 0:
         return out
-    n, step = grid.frame_len, grid.step
-    # frame q drops frames[q - 1, :step] and takes in frames[q, n - step:]
-    leaving = np.sort(frames[:-1, :step], axis=1)
-    entering = np.sort(frames[1:, n - step:], axis=1)
-    offset = np.arange(step)
-    keep = np.ones(n, dtype=bool)
-    window = np.sort(frames[0])
-    out[0] = window[ranks]
-    for q in range(1, grid.count):
-        gone = leaving[q - 1]
-        # the k-th of several equal leaving values removes the k-th equal slot
-        slots = np.searchsorted(window, gone) + offset - np.searchsorted(gone, gone)
-        keep[slots] = False
-        # a stable sort of two sorted runs is one linear merge
-        window = np.concatenate((window[keep], entering[q - 1]))
-        window.sort(kind="stable")
-        keep[slots] = True
-        out[q] = window[ranks]
+    # a block takes in at most a quarter frame, so it never reaches past the
+    # window's samples and its (block x block*step) position rows stay O(frame_len)
+    block = max(1, min(ORDER_STATS_BLOCK, n // (4 * step)))
+    size = n + block * step
+    # the last row of a block lifts its positions by (block - 1) * (n + 1)
+    pos = _index_dtype((block + 1) * size)
+    # the window, then the block's entering samples; offsets count from the window's start
+    values, offsets = np.empty(size), np.empty(size, dtype=pos)
+    merged, merged_offsets = np.empty(size), np.empty(size, dtype=pos)
+    position = np.empty(size, dtype=pos)  # merged position of each sample offset
+    keep = np.empty(size, dtype=bool)
+    offsets[:n] = np.argsort(frames[0], kind="stable")
+    np.take(frames[0], offsets[:n], out=values[:n])
+    out[0] = values[ranks]
+    for first in range(1, grid.count, block):
+        rows = min(block, grid.count - first)
+        width = rows * step
+        m = n + width
+        # the block's last frame ends with every sample the block takes in
+        entering = frames[first + rows - 1, n - width :]
+        order = np.argsort(entering)
+        np.take(entering, order, out=values[n:m])
+        np.add(order, n, out=offsets[n:m])
+        # a stable sort of two sorted runs is one merge; an entering value
+        # goes after the window's values equal to it
+        perm = np.argsort(values[:m], kind="stable")
+        np.take(values[:m], perm, out=merged[:m])
+        np.take(offsets[:m], perm, out=merged_offsets[:m])
+        position[merged_offsets[:m]] = np.arange(m, dtype=pos)
+        # frame first+j lacks the window's first (j+1)*step samples and the
+        # entering ones from (j+1)*step on: row j is one slice of the entering
+        # samples' positions followed by the leaving ones'
+        removed = np.concatenate((position[n:m], position[:width]))
+        removed = np.sort(sliding_window_view(removed, width)[step::step], axis=1)
+        # the i-th removed position less i counts the kept values below it;
+        # row j is lifted by j*(n+1) so the block searches as one ascending run
+        row = np.arange(rows)[:, np.newaxis]
+        removed -= np.arange(width, dtype=pos)
+        removed += row * (n + 1)
+        below = np.searchsorted(removed.ravel(), ranks + row * (n + 1), side="right")
+        # the kept value of rank r sits past the removed positions below it
+        out[first : first + rows] = merged[ranks + below - row * width]
+        keep[:m] = True
+        keep[position[:width]] = False
+        np.compress(keep[:m], merged[:m], out=values[:n])
+        np.compress(keep[:m], merged_offsets[:m], out=offsets[:n])
+        offsets[:n] -= width
     return out
+
+
+def _index_dtype(bound: int):
+    """The narrower signed integer type that holds 0..bound."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray) -> np.ndarray:

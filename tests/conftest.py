@@ -1,15 +1,23 @@
 import contextlib
 import multiprocessing
+import os
 import signal
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.signal import butter, lfilter
 
 from hhtalpha import Signal, sample_sas
 
 RATE = 16000
+
+# CI runs replay the same examples, and a failure prints the blob that
+# reproduces it (@reproduce_failure); local runs keep exploring at random.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_speech_proxy(n=38400, rate=RATE, seed=5,

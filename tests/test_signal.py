@@ -2,15 +2,20 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hhtalpha
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import hhtalpha.signal as signal_module
 from hhtalpha import Signal, frame_grid, hann_window, overlap_add, read_wav, resample, write_wav
 from hhtalpha.signal import extract_frames, frame_order_stats
+from hhtalpha.stable import alpha_from_nu, hazen_ranks, nu_from_order_stats
 
 
 def test_signal_rejects_nan():
@@ -228,6 +233,65 @@ def tie_heavy(rng, n):
     return x
 
 
+def mixed_zeros(rng, n):
+    """Tie-heavy values whose zeros are -0.0 and +0.0 at random."""
+    x = tie_heavy(rng, n)
+    x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    return x
+
+
+SOURCES = {"continuous": lambda rng, n: rng.standard_cauchy(n), "tie_heavy": tie_heavy,
+           "mixed_zeros": mixed_zeros}
+
+
+def reference_frame_order_stats(samples, grid, ranks):
+    """Reference: one sliding sorted window, advanced one frame at a time.
+    Frame q removes the `step` samples that left frame q-1 and merges in the
+    `step` that entered."""
+    frames = extract_frames(samples, grid)
+    ranks = np.asarray(ranks, dtype=np.intp)
+    out = np.empty((grid.count, len(ranks)))
+    if grid.count == 0:
+        return out
+    n, step = grid.frame_len, grid.step
+    # frame q drops frames[q - 1, :step] and takes in frames[q, n - step:]
+    leaving = np.sort(frames[:-1, :step], axis=1)
+    entering = np.sort(frames[1:, n - step:], axis=1)
+    offset = np.arange(step)
+    keep = np.ones(n, dtype=bool)
+    window = np.sort(frames[0])
+    out[0] = window[ranks]
+    for q in range(1, grid.count):
+        gone = leaving[q - 1]
+        # the k-th of several equal leaving values removes the k-th equal slot
+        slots = np.searchsorted(window, gone) + offset - np.searchsorted(gone, gone)
+        keep[slots] = False
+        # a stable sort of two sorted runs is one linear merge
+        window = np.concatenate((window[keep], entering[q - 1]))
+        window.sort(kind="stable")
+        keep[slots] = True
+        out[q] = window[ranks]
+    return out
+
+
+@st.composite
+def frame_layouts(draw):
+    """(length, frame_len, step, ranks): a step that divides the frame, one
+    that need not, or the whole frame; count * step often runs past the end
+    and the last block of frames is often short.  The ranks are the Hazen
+    ranks, both ends and a few more."""
+    frame_len = draw(st.integers(100, 600))
+    kind = draw(st.sampled_from(["divides", "any", "frame"]))
+    if kind == "divides":
+        step = draw(st.sampled_from([d for d in range(1, frame_len + 1) if frame_len % d == 0]))
+    elif kind == "any":
+        step = draw(st.integers(1, frame_len))
+    else:
+        step = frame_len
+    extra = draw(st.lists(st.integers(0, frame_len - 1), max_size=6))
+    return draw(st.integers(0, 3000)), frame_len, step, extra
+
+
 class TestFrameOrderStats:
     # (length, frame_len, step): steps that do and do not divide the frame,
     # step == frame_len, count * step past the end, a signal shorter than a
@@ -248,6 +312,62 @@ class TestFrameOrderStats:
         ranks = [frame_len - 1, 0, 3, 3]
         np.testing.assert_array_equal(frame_order_stats(x, grid, ranks), expected[:, ranks])
 
+    @given(layout=frame_layouts(), source=st.sampled_from(sorted(SOURCES)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(layout=(2056, 512, 8, []), source="continuous", seed=0)  # full blocks of 16
+    @example(layout=(2999, 512, 7, [3, 3]), source="tie_heavy", seed=1)  # short last block
+    @example(layout=(3000, 512, 8, []), source="mixed_zeros", seed=2)
+    @example(layout=(1000, 128, 128, []), source="mixed_zeros", seed=3)
+    @example(layout=(0, 128, 32, []), source="continuous", seed=4)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_reference(self, layout, source, seed):
+        n, frame_len, step, extra = layout
+        grid = frame_grid(n, frame_len, step)
+        x = SOURCES[source](np.random.default_rng(seed), n)
+        hazen, gamma = hazen_ranks(frame_len)
+        ranks = np.concatenate((hazen, [0, frame_len - 1], extra)).astype(np.intp)
+        got = frame_order_stats(x, grid, ranks)
+        expected = reference_frame_order_stats(x, grid, ranks)
+        if source == "mixed_zeros":
+            # which of two equal zeros sits at a rank may differ; the alphas may not
+            np.testing.assert_array_equal(got, expected)
+            got, expected = (alpha_from_nu(nu_from_order_stats(stats[:, :8], gamma))
+                             for stats in (got, expected))
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_wide_positions_match_reference(self, monkeypatch):
+        # the int64 positions a frame too long for int32 needs, on a small grid
+        assert signal_module._index_dtype(np.iinfo(np.int32).max) is np.int32
+        assert signal_module._index_dtype(np.iinfo(np.int32).max + 1) is np.int64
+        monkeypatch.setattr(signal_module, "_index_dtype", lambda bound: np.int64)
+        x = np.random.default_rng(4).standard_cauchy(3000)
+        grid = frame_grid(3000, 512, 7)
+        ranks = np.arange(512)
+        assert (frame_order_stats(x, grid, ranks).tobytes()
+                == reference_frame_order_stats(x, grid, ranks).tobytes())
+
+    @pytest.mark.parametrize("rank", [-1, 8, 100])
+    def test_rank_outside_frame_rejected(self, rank):
+        with pytest.raises(ValueError, match=r"ranks must lie in 0\.\.7"):
+            frame_order_stats(np.arange(10.0), frame_grid(10, 8, 4), [0, rank])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="total_len"):
             frame_order_stats(np.zeros(9), frame_grid(10, 8, 4), [0])
+
+    @pytest.mark.parametrize("step", [1, 7, 2560 // 16, 2560 // 2, 2560])
+    def test_memory_independent_of_step(self, step):
+        # the block buffers stay O(frame_len) at any step; a frames matrix
+        # (2560 frames over each sample at step 1) would not fit
+        n, frame_len = 16000, 2560
+        x = np.random.default_rng(6).standard_cauchy(n)
+        grid = frame_grid(n, frame_len, step)
+        ranks = hazen_ranks(frame_len)[0]
+        tracemalloc.start()
+        try:
+            frame_order_stats(x, grid, ranks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - grid.count * len(ranks) * 8 <= 6 * (n + frame_len) * 8
