@@ -4,6 +4,7 @@ windowing and overlap-add."""
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass
@@ -37,10 +38,8 @@ class Signal:
             raise ValueError("Signal requires a 1-D sample array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("Signal samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _whole_rate(self.sample_rate, "sample_rate"))
 
     def __len__(self):
         return len(self.samples)
@@ -49,6 +48,16 @@ class Signal:
     def duration(self) -> float:
         """Length in seconds."""
         return len(self.samples) / self.sample_rate
+
+
+def _whole_rate(rate, name: str) -> int:
+    """`rate` as an int; ValueError naming the value unless it is a positive
+    whole number of Hz (16000.0 and numpy integers pass)."""
+    if not (isinstance(rate, numbers.Real) and float(rate).is_integer()):
+        raise ValueError(f"{name} must be a whole number of Hz, got {rate!r}")
+    if rate <= 0:
+        raise ValueError(f"{name} must be positive, got {rate!r}")
+    return int(rate)
 
 
 @dataclass(frozen=True)
@@ -247,8 +256,7 @@ def resample(signal: Signal, target_rate: int) -> Signal:
 
     Output length is round(len * target/source).
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
+    target_rate = _whole_rate(target_rate, "target_rate")
     if target_rate == signal.sample_rate:
         return signal
     g = math.gcd(target_rate, signal.sample_rate)

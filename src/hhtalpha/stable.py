@@ -87,16 +87,17 @@ def nu_from_order_stats(stats, gamma):
 def nu_alpha(samples):
     """Quantile spread ratio (x95 - x05) / (x75 - x25) over the last axis.
 
-    Reads the 8 order statistics of `hazen_ranks` with one partial sort.
-    NaN where the interquartile range is zero or a sample is NaN.  A float
-    for 1-D input, else one value per row (the last axis is reduced; use
-    `.ravel()` to pool).
+    Reads the 8 order statistics of `hazen_ranks` with one sort (numpy's
+    SIMD sort beats a partition on 9 kth values).  NaN where the
+    interquartile range is zero or a sample is NaN.  A float for 1-D input,
+    else one value per row (the last axis is reduced; use `.ravel()` to
+    pool).
     """
     samples = np.asarray(samples, dtype=np.float64)
     ranks, gamma = hazen_ranks(samples.shape[-1] if samples.ndim else 0)
     # NaN sorts last, so the largest value shows whether a row holds one
-    part = np.partition(samples, (*ranks, -1), axis=-1)
-    stats = np.where(np.isnan(part[..., -1:]), np.nan, part[..., ranks])
+    ordered = np.sort(samples, axis=-1)
+    stats = np.where(np.isnan(ordered[..., -1:]), np.nan, ordered[..., ranks])
     return nu_from_order_stats(stats, gamma)
 
 

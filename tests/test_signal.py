@@ -28,6 +28,14 @@ def test_signal_rejects_bad_rate():
         Signal(np.zeros(4), 0)
 
 
+def test_signal_rejects_fractional_rate():
+    with pytest.raises(ValueError, match="16000.7"):
+        Signal(np.zeros(4), 16000.7)
+    for rate in (16000.0, np.int64(16000), np.float64(16000)):
+        sig = Signal(np.zeros(4), rate)
+        assert sig.sample_rate == 16000 and type(sig.sample_rate) is int
+
+
 class TestWav:
     def test_pcm16_scaling(self, tmp_path):
         from scipy.io import wavfile
@@ -195,6 +203,13 @@ class TestResample:
     def test_length_ratio(self):
         sig = Signal(np.zeros(10240), 16000)
         assert len(resample(sig, 10000)) == 6400
+
+    def test_fractional_rate_rejected(self):
+        sig = Signal(np.zeros(10240), 16000)
+        with pytest.raises(ValueError, match="10000.5"):
+            resample(sig, 10000.5)
+        assert resample(sig, np.int64(10000)).sample_rate == 10000
+        assert len(resample(sig, 10000.0)) == 6400
 
     def test_scipy_signal_imported_only_to_resample(self):
         package_root = str(Path(hhtalpha.__file__).resolve().parents[1])

@@ -93,6 +93,41 @@ class TestHazenOrderStats:
             hazen_ranks(MIN_SAMPLES - 1)
 
 
+@st.composite
+def nu_inputs(draw):
+    """Cauchy samples, 1-D or row-wise 2-D, optionally rounded to ties with
+    signed zeros mixed in and with NaN or ±inf planted in some rows."""
+    n = draw(st.integers(MIN_SAMPLES, 4000))
+    rows = draw(st.sampled_from([None, 1, 3]))  # None: one 1-D array
+    x = sample_sas(1.0, n * (rows or 1), draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # coarse rounding makes ties; zeroing a fraction of samples with a
+        # random sign puts both -0.0 and +0.0 at or beside the quartile ranks
+        x = np.round(x * draw(st.sampled_from([0.5, 2.0, 10.0])))
+        zero = rng.random(x.size) < draw(st.floats(0.0, 0.6))
+        x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    x = x.reshape(-1, n)
+    # up to an eighth of a row, so that ±inf can reach the 5 % and 95 % ranks
+    planted = draw(st.lists(st.tuples(st.integers(0, x.shape[0] - 1), st.integers(1, n // 8),
+                                      st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3))
+    for row, count, value in planted:
+        x[row, rng.choice(n, count, replace=False)] = value
+    return x[0] if rows is None else x
+
+
+class TestNuAlphaProperty:
+    @given(nu_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_numpy_quantile(self, samples):
+        # interpolating between two infinite order statistics computes inf - inf
+        # on both sides, which numpy flags as invalid
+        with np.errstate(invalid="ignore"):
+            nu, expected = nu_alpha(samples), quantile_nu(samples)
+        assert np.ndim(nu) == samples.ndim - 1
+        np.testing.assert_array_equal(nu, expected)
+
+
 class TestEstimateAlpha:
     def test_gaussian_hits_boundary(self):
         x = sample_sas(2.0, 20_000, 2)
