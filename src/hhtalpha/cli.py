@@ -126,7 +126,7 @@ def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
     keep = energy >= energy.max() * 10.0 ** (-ACTIVE_FLOOR_DB / 10.0)
     mask = np.zeros(len(x), bool)
     mask[: count * n] = np.repeat(keep, n)
-    mask[count * n :] = keep[-1] if count else True
+    mask[count * n :] = keep[-1]
     return mask
 
 

@@ -136,15 +136,15 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> np.ndarray:
+def envelope(indices: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """Natural cubic spline through extrema, with mirrored boundary points.
 
-    Up to `pad` extrema are reflected beyond each end of [0, length) before
-    fitting, to tame end swings; an extremum at index 0 or length-1 is its
-    own mirror image and is not repeated.  The spline is evaluated on the
-    integer grid 0..length-1.  Grid points outside the knot range follow the
-    polynomial of the nearest end segment (extrapolation, as CubicSpline's
-    default).
+    Up to BOUNDARY_PAD_EXTREMA extrema are reflected beyond each end of
+    [0, length) before fitting, to tame end swings; an extremum at index 0 or
+    length-1 is its own mirror image and is not repeated.  The spline is
+    evaluated on the integer grid 0..length-1.  Grid points outside the knot
+    range follow the polynomial of the nearest end segment (extrapolation, as
+    CubicSpline's default).
 
     Raises ValueError for non-finite indices or values, indices that are not
     strictly increasing inside [0, length-1], or fewer than 2 knots after
@@ -154,11 +154,10 @@ def envelope(indices: np.ndarray, values: np.ndarray, length: int, pad: int) -> 
     values = np.asarray(values, dtype=np.float64)
     if not (np.all(np.isfinite(indices)) and np.all(np.isfinite(values))):
         raise ValueError("envelope points must be finite")
-    if len(indices) > 0 and not (indices[0] >= 0 and indices[-1] <= length - 1
-                                 and np.all(np.diff(indices) > 0)):
-        raise ValueError("envelope indices must be strictly increasing within [0, length-1]")
-    if pad > 0 and len(indices) > 0:
-        k = min(pad, len(indices))
+    if len(indices) > 0:
+        if not (indices[0] >= 0 and indices[-1] <= length - 1 and np.all(np.diff(indices) > 0)):
+            raise ValueError("envelope indices must be strictly increasing within [0, length-1]")
+        k = min(BOUNDARY_PAD_EXTREMA, len(indices))
         # the extrema mirrored at each end, less one lying on the end itself
         head = slice(1 if indices[0] == 0 else 0, k)
         tail = slice(len(indices) - k, -1 if indices[-1] == length - 1 else None)
@@ -174,8 +173,8 @@ def _mean_envelope(x: np.ndarray):
     (max_i, max_v), (min_i, min_v) = find_extrema(x)
     if len(max_i) < 2 or len(min_i) < 2:
         return None
-    mean = envelope(max_i, max_v, len(x), BOUNDARY_PAD_EXTREMA)
-    mean += envelope(min_i, min_v, len(x), BOUNDARY_PAD_EXTREMA)
+    mean = envelope(max_i, max_v, len(x))
+    mean += envelope(min_i, min_v, len(x))
     mean *= 0.5
     return mean
 

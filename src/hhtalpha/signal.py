@@ -13,10 +13,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
-# Overlap sums below this level are treated as "no window coverage" and the
-# corresponding output samples are emitted as zero.
-OVERLAP_EPS = 1e-8
-
 # Frames whose order statistics frame_order_stats reads from one merge of
 # the sorted window.
 ORDER_STATS_BLOCK = 16
@@ -195,9 +191,9 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray
 
     Frame q is window * sources[choice[q]] over [q*step, q*step + frame_len),
     zero past the end of the signal.  Each output sample is divided by the
-    window-overlap sum P(t) = sum_q w(t - q*step); samples where
-    P(t) < OVERLAP_EPS are emitted as 0.  The output has grid.total_len
-    samples, each summed over its frames in ascending q.
+    window-overlap sum P(t) = sum_q w(t - q*step) wherever P(t) > 0, however
+    small; a sample no window weight reaches is emitted as 0.  The output
+    has grid.total_len samples, each summed over its frames in ascending q.
     """
     sources = np.asarray(sources, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[1] != grid.total_len:
@@ -214,7 +210,7 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray
         w = window[: len(chunk)]
         acc[span] += chunk * w
         overlap[span] += w
-    return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap >= OVERLAP_EPS)
+    return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap > 0)
 
 
 def read_wav(path) -> Signal:

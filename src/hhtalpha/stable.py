@@ -72,14 +72,15 @@ def nu_from_order_stats(stats, gamma):
     next ranks of `hazen_ranks`, `gamma` its weights; the fractiles are
     interpolated the way numpy does, so the result is bit-equal to one read
     from numpy's "hazen" quantiles.  NaN where the interquartile range is
-    zero; a float for one set of statistics, else one value per row.
+    zero; +inf or NaN, as numpy gives, where a fractile reads a +-inf
+    statistic, with no warning.  A float for one set, else one value per row.
     """
     lo, hi = stats[..., :4], stats[..., 4:]
-    diff = hi - lo
-    q05, q25, q75, q95 = np.moveaxis(
-        np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma), -1, 0)
-    iqr = q75 - q25
     with np.errstate(divide="ignore", invalid="ignore"):
+        diff = hi - lo
+        q05, q25, q75, q95 = np.moveaxis(
+            np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma), -1, 0)
+        iqr = q75 - q25
         nu = np.where(iqr > 0.0, (q95 - q05) / iqr, np.nan)
     return float(nu) if nu.ndim == 0 else nu
 
@@ -89,9 +90,9 @@ def nu_alpha(samples):
 
     Reads the 8 order statistics of `hazen_ranks` with one sort (numpy's
     SIMD sort beats a partition on 9 kth values).  NaN where the
-    interquartile range is zero or a sample is NaN.  A float for 1-D input,
-    else one value per row (the last axis is reduced; use `.ravel()` to
-    pool).
+    interquartile range is zero or a sample is NaN, +inf or NaN where a
+    fractile reads a +-inf sample.  A float for 1-D input, else one value
+    per row (the last axis is reduced; use `.ravel()` to pool).
     """
     samples = np.asarray(samples, dtype=np.float64)
     ranks, gamma = hazen_ranks(samples.shape[-1] if samples.ndim else 0)

@@ -125,6 +125,18 @@ class TestMix:
                    "--out", out) == 0
         np.testing.assert_array_equal(read_wav(out).samples, read_wav(clean_wav).samples)
 
+    def test_clean_shorter_than_one_frame_is_all_active(self, tmp_path):
+        # 300 samples hold no 32 ms frame to gate on, so the SNR counts every clean sample
+        clean_path, noise_path, out = tmp_path / "c.wav", tmp_path / "n.wav", tmp_path / "mix.wav"
+        write_wav(Signal(0.5 * np.sin(np.arange(300.0)), RATE), clean_path)
+        run("synth-noise", "--alpha", 2.0, "--duration", 0.5, "--seed", 3, "--out", noise_path)
+        assert run("mix", "--clean", clean_path, "--noise", noise_path,
+                   "--snr-db", 0, "--out", out, "--seed", 4) == 0
+        clean = read_wav(clean_path)
+        added = read_wav(out).samples - clean.samples
+        snr = 10 * np.log10(np.mean(clean.samples ** 2) / np.mean(added ** 2))
+        assert snr == pytest.approx(0.0, abs=0.01)
+
     @pytest.mark.parametrize("empty", ["clean", "noise"])
     def test_empty_input_fails(self, tmp_path, clean_wav, capsys, empty):
         paths = {"clean": clean_wav, "noise": tmp_path / "n.wav"}

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from hhtalpha import EemdConfig, Signal, eemd, emd, sample_sas, sift
-from hhtalpha.emd import ImfSet, envelope, find_extrema
+from hhtalpha.emd import BOUNDARY_PAD_EXTREMA, ImfSet, envelope, find_extrema
 
 from conftest import make_speech_proxy, mix_at_snr, within
 
@@ -31,7 +31,7 @@ def tone(freq, rate=8000, dur=1.0):
     return np.sin(2 * np.pi * freq * t)
 
 
-def mirrored_knots(indices, values, length, pad):
+def mirrored_knots(indices, values, length, pad=BOUNDARY_PAD_EXTREMA):
     """`envelope`'s knots as the mirror-then-deduplicate rule gives them."""
     t = np.asarray(indices, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
@@ -44,7 +44,7 @@ def mirrored_knots(indices, values, length, pad):
     return t, y
 
 
-def reference_envelope(indices, values, length, pad):
+def reference_envelope(indices, values, length, pad=BOUNDARY_PAD_EXTREMA):
     """`envelope` as scipy's CubicSpline computes it, the oracle for the fast spline."""
     t, y = mirrored_knots(indices, values, length, pad)
     return CubicSpline(t, y, bc_type="natural")(np.arange(length))
@@ -88,7 +88,7 @@ def reference_natural_spline(t, y, length):
     return ((cubic * dx + quad) * dx + lin) * dx + const
 
 
-def reference_spline_envelope(indices, values, length, pad):
+def reference_spline_envelope(indices, values, length, pad=BOUNDARY_PAD_EXTREMA):
     """`envelope` from the two byte oracles above."""
     return reference_natural_spline(*mirrored_knots(indices, values, length, pad), length)
 
@@ -187,25 +187,33 @@ class TestFindExtrema:
             assert got.tobytes() == want.tobytes()
 
 
+def mirror(monkeypatch, pad):
+    """Make `envelope` mirror `pad` extrema at each end; at 0 it fits the bare points."""
+    monkeypatch.setattr(emd_module, "BOUNDARY_PAD_EXTREMA", pad)
+
+
 class TestEnvelope:
     def test_constant_points(self):
-        env = envelope(np.array([10, 40, 70]), np.full(3, 3.0), 100, pad=2)
+        env = envelope(np.array([10, 40, 70]), np.full(3, 3.0), 100)
         np.testing.assert_allclose(env, 3.0)
 
-    def test_two_points_linear(self):
-        env = envelope(np.array([10, 30]), np.array([0.0, 2.0]), 40, pad=0)
+    def test_two_points_linear(self, monkeypatch):
+        mirror(monkeypatch, 0)
+        env = envelope(np.array([10, 30]), np.array([0.0, 2.0]), 40)
         np.testing.assert_allclose(env[10:31], np.linspace(0.0, 2.0, 21), atol=1e-12)
 
     def test_sine_upper_envelope(self):
         x = tone(50, rate=8000)
         (max_i, max_v), _ = find_extrema(x)
-        env = envelope(max_i, max_v, len(x), pad=2)
+        env = envelope(max_i, max_v, len(x))
         interior = env[500:-500]
         assert np.max(np.abs(interior - 1.0)) < 0.02
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            envelope(np.array([5]), np.array([1.0]), 10, pad=0)
+        # nothing to mirror, or one sample that is its own mirror image at both ends
+        for indices, length in ([], 10), ([0], 1):
+            with pytest.raises(ValueError, match="at least 2 envelope points"):
+                envelope(np.array(indices), np.ones(len(indices)), length)
 
     @pytest.mark.parametrize("indices, values", [
         ([1.0, np.nan, 9.0], [0.0, 1.0, 0.0]),
@@ -214,9 +222,10 @@ class TestEnvelope:
         ([1.0, 5.0, 9.0], [0.0, -np.inf, 0.0]),
     ])
     @pytest.mark.parametrize("pad", [0, 2])
-    def test_non_finite_points(self, indices, values, pad):
-        with pytest.raises(ValueError):
-            envelope(np.array(indices), np.array(values), 12, pad=pad)
+    def test_non_finite_points(self, monkeypatch, indices, values, pad):
+        mirror(monkeypatch, pad)
+        with pytest.raises(ValueError, match="finite"):
+            envelope(np.array(indices), np.array(values), 12)
 
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("indices", [
@@ -225,35 +234,38 @@ class TestEnvelope:
         pytest.param([-1, 5, 8], id="below_zero"),
         pytest.param([2, 5, 12], id="past_last_index"),
     ])
-    def test_bad_indices_rejected(self, indices, pad):
-        # checked before mirroring, so a pad cannot sort or merge them away
+    def test_bad_indices_rejected(self, monkeypatch, indices, pad):
+        # checked before mirroring, so mirrored points cannot sort or merge them away
+        mirror(monkeypatch, pad)
         with pytest.raises(ValueError, match="strictly increasing"):
-            envelope(np.array(indices), np.zeros(len(indices)), 12, pad=pad)
+            envelope(np.array(indices), np.zeros(len(indices)), 12)
 
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("case", SPLINE_CASES)
-    def test_matches_cubic_spline(self, case, pad):
+    def test_matches_cubic_spline(self, monkeypatch, case, pad):
         indices, values = spline_case(case)
-        env = envelope(indices, values, 3000, pad)
+        mirror(monkeypatch, pad)
+        env = envelope(indices, values, 3000)
         ref = reference_envelope(indices, values, 3000, pad)
         assert np.max(np.abs(env - ref)) < 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("case", SPLINE_CASES)
-    def test_bytes_match_reference(self, case, pad):
+    def test_bytes_match_reference(self, monkeypatch, case, pad):
         indices, values = spline_case(case)
-        env = envelope(indices, values, 3000, pad)
+        mirror(monkeypatch, pad)
+        env = envelope(indices, values, 3000)
         assert env.tobytes() == reference_spline_envelope(indices, values, 3000, pad).tobytes()
 
     def test_one_interior_knot_bytes_match_reference(self):
         # mirroring one extremum gives three knots: a 1 x 1 second-derivative system
-        assert len(mirrored_knots([1300], [2.0], 3000, 2)[0]) == 3
-        env = envelope(np.array([1300]), np.array([2.0]), 3000, 2)
-        assert env.tobytes() == reference_spline_envelope([1300], [2.0], 3000, 2).tobytes()
+        assert len(mirrored_knots([1300], [2.0], 3000)[0]) == 3
+        env = envelope(np.array([1300]), np.array([2.0]), 3000)
+        assert env.tobytes() == reference_spline_envelope([1300], [2.0], 3000).tobytes()
 
     def test_owns_its_buffer(self):
         indices, values = spline_case("dense")
-        env = envelope(indices, values, 3000, 2)
+        env = envelope(indices, values, 3000)
         assert env.base is None and env.flags.owndata
 
 
@@ -412,6 +424,10 @@ class TestEmd:
 
 
 class TestEemd:
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="ensemble_size must be >= 1"):
+            EemdConfig(ensemble_size=0)
+
     def test_degenerate_ensemble_equals_emd(self):
         x = tone(50) + tone(500)
         sig = Signal(x, 8000)

@@ -53,6 +53,17 @@ def test_frame_shorter_than_estimator_minimum_rejected():
     EnhanceConfig(frame_len=100, step=32)
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("mu", 0.0, r"mu must lie in \(0, 1\]"),
+    ("alpha_min", 0.4, r"alpha_min must lie in \[0.5, 2.0\]"),
+    ("threshold_combine", "max", "threshold_combine must be 'floor' or 'literal_min'"),
+    ("step", 0, "step must satisfy 0 < step <= frame_len"),
+])
+def test_setting_out_of_range_rejected(setting, value, message):
+    with pytest.raises(ValueError, match=message):
+        EnhanceConfig(**{setting: value})
+
+
 def thresholds(alpha_u, cfg):
     """The thresholds apply_selection sets for frames whose noisy alpha is alpha_u."""
     alpha_u = np.atleast_1d(alpha_u)
@@ -146,8 +157,10 @@ class TestProfileAlpha:
     def test_length_mismatch_rejected(self):
         imfs = ImfSet(np.zeros((1, 100)), np.zeros(100), 1)
         grid = frame_grid(100, 50, 50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode length does not match"):
             profile_alpha(imfs, np.zeros(99), grid)
+        with pytest.raises(ValueError, match="frame grid does not match"):
+            profile_alpha(imfs, np.zeros(100), frame_grid(99, 50, 50))
 
     def test_alpha_range_invariant(self, noisy_pair):
         _, noisy = noisy_pair

@@ -202,8 +202,14 @@ class TestStoi:
 
     def test_too_short_rejected(self):
         short = Signal(np.zeros(1000), RATE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shorter than 0.5 s"):
             stoi(short, short)
+        # 0.6 s at 10 kHz, loud for 0.1 s: silence removal leaves under 256 + 30 * 128 samples
+        x = np.zeros(6000)
+        x[:1000] = np.sin(np.arange(1000.0))
+        quiet = Signal(x, STOI_RATE)
+        with pytest.raises(ValueError, match="too little active signal"):
+            stoi(quiet, quiet)
 
 
 class TestMapping:
@@ -235,6 +241,10 @@ class TestEvaluate:
     def test_metric_subset(self, clean):
         report = evaluate(clean, clean, which=("llr",))
         assert report.to_dict() == {"llr": 0.0}
+
+    def test_sample_rate_mismatch_rejected(self, clean):
+        with pytest.raises(ValueError, match="sample rates differ"):
+            evaluate(clean, Signal(clean.samples, RATE // 2))
 
     def test_unknown_metric(self, clean, monkeypatch):
         with pytest.raises(ValueError):
@@ -374,3 +384,9 @@ class TestFraming:
         for metric in (llr, fwsnrseg):
             with pytest.raises(ValueError, match=f"at least one sample at {rate} Hz"):
                 metric(low, low)
+
+    def test_frame_no_longer_than_lpc_order_rejected(self):
+        # at 500 Hz a 32 ms frame holds 16 samples, the LPC order
+        low = Signal(np.sin(np.arange(2000.0)), 500)
+        with pytest.raises(ValueError, match="analysis frame shorter than the LPC order"):
+            llr(low, low)

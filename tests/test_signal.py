@@ -23,6 +23,11 @@ def test_signal_rejects_nan():
         Signal(np.array([0.0, np.nan]), 16000)
 
 
+def test_signal_rejects_two_dimensional_samples():
+    with pytest.raises(ValueError, match="1-D sample array"):
+        Signal(np.zeros((2, 4)), 16000)
+
+
 def test_signal_rejects_bad_rate():
     with pytest.raises(ValueError):
         Signal(np.zeros(4), 0)
@@ -107,6 +112,13 @@ class TestWav:
         with pytest.raises(ValueError, match="mono"):
             read_wav(path)
 
+    def test_int32_pcm_rejected(self, tmp_path):
+        from scipy.io import wavfile
+        path = tmp_path / "int32.wav"
+        wavfile.write(path, 16000, np.zeros(100, dtype=np.int32))
+        with pytest.raises(ValueError, match=re.escape(f"unsupported WAV encoding int32: {path}")):
+            read_wav(path)
+
     def test_header_round_trip(self, tmp_path):
         from scipy.io import wavfile
         path = tmp_path / "f.wav"
@@ -127,6 +139,12 @@ class TestFrameGrid:
     def test_step_above_frame_rejected(self):
         with pytest.raises(ValueError):
             frame_grid(1000, 100, 200)
+
+    def test_bad_lengths_rejected(self):
+        with pytest.raises(ValueError, match="frame_len must be positive"):
+            frame_grid(10, 0, 1)
+        with pytest.raises(ValueError, match="total_len must be non-negative"):
+            frame_grid(-1, 8, 4)
 
     def test_full_coverage(self):
         grid = frame_grid(1000, 64, 17)
@@ -166,11 +184,31 @@ class TestOverlapAdd:
         rec = overlap_add(x[np.newaxis], np.zeros(grid.count, int), grid, win)
         assert np.max(np.abs(rec - x)) < 1e-8
 
+    def test_long_frames_cover_the_signal_edges(self):
+        # the Hann weight at a 16384-sample frame's first sample is 9.2e-9
+        grid = frame_grid(48000, 16384, 128)
+        rec = overlap_add(np.ones((1, 48000)), np.zeros(grid.count, int), grid, hann_window(16384))
+        np.testing.assert_array_equal(rec, 1.0)
+
+    def test_samples_no_weight_reaches_are_zero(self):
+        grid = frame_grid(16, 8, 8)
+        win = np.array([0.0, 1, 1, 1, 1, 1, 1, 0])
+        rec = overlap_add(np.full((1, 16), 3.0), np.zeros(grid.count, int), grid, win)
+        np.testing.assert_array_equal(rec, np.where(np.tile(win, 2) > 0, 3.0, 0.0))
+
     def test_frame_count_mismatch_rejected(self):
         grid = frame_grid(1024, 256, 128)
         win = hann_window(256)
         with pytest.raises(ValueError):
             overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid, win)
+
+    def test_shape_mismatch_rejected(self):
+        grid = frame_grid(1024, 256, 128)
+        choice = np.zeros(grid.count, int)
+        with pytest.raises(ValueError, match=r"\(rows, grid.total_len\) array"):
+            overlap_add(np.zeros((1, 1000)), choice, grid, hann_window(256))
+        with pytest.raises(ValueError, match="window length does not match grid.frame_len"):
+            overlap_add(np.zeros((1, 1024)), choice, grid, hann_window(255))
 
 
 class TestWindow:

@@ -87,6 +87,17 @@ class TestHazenOrderStats:
         np.testing.assert_array_equal(ranks, [511, 2559, 7679, 9727, 512, 2560, 7680, 9728])
         np.testing.assert_array_equal(gamma, 0.5)
 
+    def test_infinite_order_stats_bit_equal_without_warning(self):
+        # the 95 % fractile reads order statistics 759 and 760 of 800
+        x = np.tile(sample_sas(1.0, 800, 0), (3, 1))
+        x[0, :39] = np.inf  # both finite
+        x[1, :40] = -np.inf  # one infinite: x95 - x05 is +inf
+        x[2, :100] = np.inf  # both infinite: inf - inf
+        nu = nu_alpha(x)
+        assert np.isfinite(nu[0]) and nu[1] == np.inf and np.isnan(nu[2])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(nu, quantile_nu(x))
+
     def test_too_few_samples_rejected(self):
         hazen_ranks(MIN_SAMPLES)
         with pytest.raises(ValueError, match="at least"):
@@ -120,10 +131,10 @@ class TestNuAlphaProperty:
     @given(nu_inputs())
     @settings(max_examples=150, deadline=None)
     def test_bit_equal_to_numpy_quantile(self, samples):
-        # interpolating between two infinite order statistics computes inf - inf
-        # on both sides, which numpy flags as invalid
+        nu = nu_alpha(samples)
+        # numpy's quantile flags the inf - inf between two infinite order statistics
         with np.errstate(invalid="ignore"):
-            nu, expected = nu_alpha(samples), quantile_nu(samples)
+            expected = quantile_nu(samples)
         assert np.ndim(nu) == samples.ndim - 1
         np.testing.assert_array_equal(nu, expected)
 
