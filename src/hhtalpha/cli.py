@@ -131,6 +131,8 @@ def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
 
 
 def cmd_synth_noise(args) -> int:
+    if args.rate <= 0:
+        raise ValueError(f"--rate must be a positive whole number of Hz, got {args.rate}")
     if not np.isfinite(args.duration):
         raise ValueError(f"--duration must be a finite number of seconds, got {args.duration}")
     n = int(round(args.duration * args.rate))

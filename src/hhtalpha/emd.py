@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from ._fork import fork_sum
 from .signal import Signal
@@ -109,6 +108,8 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
             # LAPACK's wrapper rejects the empty off-diagonals of a 1 x 1 system
             m[1] = rhs[0] / diag[0]
         else:
+            from scipy.linalg.lapack import dgtsv
+
             *_, m[1:-1], info = dgtsv(h[1:-1], diag, h[1:-1], rhs,
                                       overwrite_d=True, overwrite_b=True)
             if info:
@@ -259,6 +260,9 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
         noisy = x + noise_std * rng.standard_normal(len(x))
         return emd(Signal(noisy, signal.sample_rate), cfg.max_modes).modes
+
+    # loaded before the fork, or every worker would import LAPACK for its first spline
+    import scipy.linalg.lapack  # noqa: F401
 
     acc, rows = fork_sum(trial, cfg.ensemble_size, (cfg.max_modes, len(x)))
     produced = max(rows)

@@ -147,7 +147,8 @@ def llr(clean: Signal, processed: Signal) -> float:
 def _llr(c_frames: np.ndarray, p_frames: np.ndarray) -> float:
     """`llr` of the active (clean, processed) frame matrices."""
     if c_frames.shape[1] <= LPC_ORDER:
-        raise ValueError("analysis frame shorter than the LPC order")
+        raise ValueError(f"analysis frame of {c_frames.shape[1]} samples is not longer than "
+                         f"the LPC order {LPC_ORDER}")
     rc = _autocorr(c_frames, LPC_ORDER)
     rp = _autocorr(p_frames, LPC_ORDER)
     usable = (rc[:, 0] > 0.0) & (rp[:, 0] > 0.0)

@@ -1,5 +1,11 @@
 """Signal container, mono WAV I/O, framing, per-frame order statistics,
-windowing and overlap-add."""
+windowing and overlap-add.
+
+The package imports scipy modules inside the functions that use them, so
+`import hhtalpha` loads none and a call pays only for the modules it needs:
+WAV I/O imports `scipy.io` and resampling `scipy.signal` here, and the
+spline in `emd` imports LAPACK.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 # Frames whose order statistics frame_order_stats reads from one merge of
 # the sorted window.
@@ -221,6 +226,8 @@ def read_wav(path) -> Signal:
     is one cut inside its header (scipy's struct unpacking fails).  Every
     error names the file.
     """
+    from scipy.io import wavfile
+
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
         try:
@@ -244,6 +251,8 @@ def read_wav(path) -> Signal:
 
 def write_wav(signal: Signal, path) -> None:
     """Write a Signal as a float32 mono WAV file (lossless round-trip)."""
+    from scipy.io import wavfile
+
     wavfile.write(path, signal.sample_rate, signal.samples.astype(np.float32))
 
 
@@ -258,7 +267,6 @@ def resample(signal: Signal, target_rate: int) -> Signal:
     g = math.gcd(target_rate, signal.sample_rate)
     up = target_rate // g
     down = signal.sample_rate // g
-    # imported here: scipy.signal costs ~1 s and ~45 MB at import, and only resampling uses it
     from scipy.signal import resample_poly
 
     out = resample_poly(signal.samples, up, down)

@@ -2,13 +2,17 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.signal import butter, lfilter
 
+import hhtalpha
 from hhtalpha import Signal, sample_sas
 
 RATE = 16000
@@ -83,3 +87,16 @@ def within(seconds):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < seconds
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of `code` run with `args` as sys.argv[1:] by a new
+    interpreter that imports this package, so no module the test run already
+    loaded is in its sys.modules."""
+    package_root = str(Path(hhtalpha.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code, *args],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout

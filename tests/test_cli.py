@@ -50,6 +50,15 @@ class TestSynthNoise:
         assert "--duration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_non_positive_rate_fails(self, tmp_path, capsys, rate):
+        out = tmp_path / "x.wav"
+        assert run("synth-noise", "--alpha", 1.5, "--duration", 1.0, f"--rate={rate}",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: --rate must be a positive whole number "
+                                           f"of Hz, got {rate}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_non_finite_duration_fails(self, tmp_path, capsys, duration):
         out = tmp_path / "x.wav"

@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 from hhtalpha import EemdConfig, Signal, eemd, emd, sample_sas, sift
 from hhtalpha.emd import BOUNDARY_PAD_EXTREMA, ImfSet, envelope, find_extrema
 
-from conftest import make_speech_proxy, mix_at_snr, within
+from conftest import fresh_python, make_speech_proxy, mix_at_snr, within
 
 # the package re-exports the function `emd`, which shadows the submodule name
 emd_module = importlib.import_module("hhtalpha.emd")
@@ -436,6 +436,28 @@ class TestEemd:
         b = emd(sig)
         np.testing.assert_array_equal(a.modes, b.modes)
         np.testing.assert_array_equal(a.residual, b.residual)
+
+    def test_lapack_loaded_before_the_trials_fork(self):
+        # a worker that had to import LAPACK for its first spline would pay
+        # for it on every call whose parent never ran one
+        code = """
+import sys
+import numpy as np
+import hhtalpha
+emd_module = sys.modules["hhtalpha.emd"]
+real, seen = emd_module.fork_sum, []
+
+def spy(*args):
+    seen.append("scipy.linalg" in sys.modules)
+    return real(*args)
+
+emd_module.fork_sum = spy
+print("scipy.linalg" in sys.modules)
+signal = hhtalpha.Signal(np.random.default_rng(0).standard_normal(1024), 8000)
+hhtalpha.eemd(signal, hhtalpha.EemdConfig(ensemble_size=2))
+print(seen)
+"""
+        assert fresh_python(code).split() == ["False", "[True]"]
 
     def test_determinism(self):
         rng = np.random.default_rng(0)

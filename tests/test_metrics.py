@@ -388,5 +388,6 @@ class TestFraming:
     def test_frame_no_longer_than_lpc_order_rejected(self):
         # at 500 Hz a 32 ms frame holds 16 samples, the LPC order
         low = Signal(np.sin(np.arange(2000.0)), 500)
-        with pytest.raises(ValueError, match="analysis frame shorter than the LPC order"):
+        with pytest.raises(ValueError, match="analysis frame of 16 samples is not longer "
+                                             "than the LPC order 16"):
             llr(low, low)

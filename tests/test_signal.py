@@ -1,11 +1,7 @@
-import os
+import json
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
-import hhtalpha
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +12,8 @@ import hhtalpha.signal as signal_module
 from hhtalpha import Signal, frame_grid, hann_window, overlap_add, read_wav, resample, write_wav
 from hhtalpha.signal import extract_frames, frame_order_stats
 from hhtalpha.stable import alpha_from_nu, hazen_ranks, nu_from_order_stats
+
+from conftest import fresh_python
 
 
 def test_signal_rejects_nan():
@@ -249,16 +247,41 @@ class TestResample:
         assert resample(sig, np.int64(10000)).sample_rate == 10000
         assert len(resample(sig, 10000.0)) == 6400
 
-    def test_scipy_signal_imported_only_to_resample(self):
-        package_root = str(Path(hhtalpha.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, hhtalpha, hhtalpha.cli; print('scipy.signal' in sys.modules); "
-                "hhtalpha.resample(hhtalpha.Signal([0.0] * 64, 16000), 8000); "
-                "print('scipy.signal' in sys.modules)")
-        res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=120)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["False", "True"]
+
+SCIPY_LOAD_STEPS = """
+import json, sys
+import hhtalpha, hhtalpha.cli
+
+def loaded():
+    return sorted(m for m in ("scipy.io", "scipy.linalg", "scipy.signal") if m in sys.modules)
+
+steps = {"import": sorted(m for m in sys.modules if m.startswith("scipy"))}
+clean, noise, mixed = sys.argv[1:]
+hhtalpha.read_wav(clean)
+steps["read_wav"] = loaded()
+assert hhtalpha.cli.main(["synth-noise", "--alpha", "1.5", "--duration", "0.5",
+                          "--out", noise]) == 0
+steps["synth-noise"] = loaded()
+assert hhtalpha.cli.main(["mix", "--clean", clean, "--noise", noise, "--snr-db", "0",
+                          "--out", mixed]) == 0
+steps["mix"] = loaded()
+hhtalpha.resample(hhtalpha.Signal([0.0] * 64, 16000), 8000)
+steps["resample"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_modules_load_at_first_use(tmp_path):
+    """Importing the package and its CLI loads no scipy module; WAV I/O loads
+    only scipy.io, and resampling scipy.signal."""
+    clean = tmp_path / "clean.wav"
+    write_wav(Signal(np.sin(np.arange(8000.0)), 16000), clean)
+    paths = [str(clean), str(tmp_path / "noise.wav"), str(tmp_path / "mix.wav")]
+    steps = json.loads(fresh_python(SCIPY_LOAD_STEPS, *paths))
+    # scipy.signal itself imports scipy.linalg
+    assert "scipy.signal" in steps.pop("resample")
+    assert steps == {"import": [], "read_wav": ["scipy.io"], "synth-noise": ["scipy.io"],
+                     "mix": ["scipy.io"]}
 
 
 def test_extract_frames_zero_pads():
