@@ -15,8 +15,13 @@ from .signal import Signal, read_wav, write_wav
 from .stable import sample_sas
 
 # The library's settings are these flags; their defaults are the config defaults.
-_EEMD = EemdConfig()
 _ENHANCE = EnhanceConfig()
+
+
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative whole number, got {args.seed}")
+    return args.seed
 
 
 def _eemd_config(args) -> EemdConfig:
@@ -24,18 +29,18 @@ def _eemd_config(args) -> EemdConfig:
         max_modes=args.modes,
         ensemble_size=args.ensemble,
         ensemble_snr_db=args.ensemble_snr,
-        master_seed=args.seed,
+        master_seed=_seed(args),
     )
 
 
 def _add_eemd_flags(p):
-    p.add_argument("--ensemble", type=int, default=_EEMD.ensemble_size,
+    p.add_argument("--ensemble", type=int, default=_ENHANCE.eemd.ensemble_size,
                    help="ensemble size N (default %(default)s)")
-    p.add_argument("--ensemble-snr", type=float, default=_EEMD.ensemble_snr_db,
+    p.add_argument("--ensemble-snr", type=float, default=_ENHANCE.eemd.ensemble_snr_db,
                    help="ensemble noise SNR in dB (default %(default)s)")
-    p.add_argument("--modes", type=int, default=_EEMD.max_modes,
+    p.add_argument("--modes", type=int, default=_ENHANCE.eemd.max_modes,
                    help="number of modes M (default %(default)s)")
-    p.add_argument("--seed", type=int, default=_EEMD.master_seed,
+    p.add_argument("--seed", type=int, default=_ENHANCE.eemd.master_seed,
                    help="master seed (default %(default)s)")
 
 
@@ -76,8 +81,8 @@ def cmd_decompose(args) -> int:
     signal = read_wav(args.infile)
     imfs = eemd(signal, _eemd_config(args))
     for m, mode in enumerate(imfs.modes, start=1):
-        write_wav(Signal(mode, imfs.sample_rate), f"{args.out_prefix}IMF_{m:02d}.wav")
-    write_wav(Signal(imfs.residual, imfs.sample_rate), f"{args.out_prefix}residual.wav")
+        write_wav(Signal(mode, signal.sample_rate), f"{args.out_prefix}IMF_{m:02d}.wav")
+    write_wav(Signal(imfs.residual, signal.sample_rate), f"{args.out_prefix}residual.wav")
     print(f"wrote {imfs.mode_count} modes + residual with prefix {args.out_prefix}")
     return 0
 
@@ -98,7 +103,7 @@ def cmd_mix(args) -> int:
             raise ValueError(f"{path} is empty")
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("clean and noise sample rates differ")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     n = noise.samples
     if len(n) < len(clean):
         n = np.tile(n, -(-len(clean) // len(n)))
@@ -138,7 +143,7 @@ def cmd_synth_noise(args) -> int:
     n = int(round(args.duration * args.rate))
     if n < 1:
         raise ValueError("--duration must span at least one sample at --rate")
-    samples = sample_sas(args.alpha, n, args.seed)
+    samples = sample_sas(args.alpha, n, _seed(args))
     peak = np.max(np.abs(samples))
     if peak > 0:
         samples = samples / peak * 0.5

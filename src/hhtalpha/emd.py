@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_sum
-from .signal import Signal
+from .signal import Signal, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
 MIN_LENGTH = 16
@@ -27,10 +27,8 @@ class EemdConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be >= 1")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        for name, minimum in (("max_modes", 1), ("ensemble_size", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, minimum))
         if not self.ensemble_snr_db > -np.inf:
             raise ValueError(f"ensemble_snr_db must be a number of dB or +inf (no added "
                              f"noise), got {self.ensemble_snr_db}")
@@ -41,12 +39,12 @@ class ImfSet:
     """Ordered oscillatory modes plus the leftover trend of one signal.
 
     `modes` is a (mode_count, source_len) array, one mode per row, and
-    `residual` the source_len-long trend.
+    `residual` the source_len-long trend; the sample rate stays with the
+    decomposed `Signal`.
     """
 
     modes: np.ndarray
     residual: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         if np.ndim(self.modes) != 2 or np.shape(self.modes)[1] != len(self.residual):
@@ -216,8 +214,7 @@ def emd(signal: Signal, max_modes: int = 10) -> ImfSet:
     or the residual has fewer than 2 maxima or 2 minima.  The sum of all
     modes plus the residual reproduces the input to round-off.
     """
-    if max_modes < 1:
-        raise ValueError("max_modes must be >= 1")
+    max_modes = whole_number(max_modes, "max_modes", 1)
     _check_length(signal)
     residual = signal.samples.copy()
     modes = np.empty((max_modes, len(residual)))
@@ -229,7 +226,7 @@ def emd(signal: Signal, max_modes: int = 10) -> ImfSet:
         modes[count] = imf
         residual -= imf
         count += 1
-    return ImfSet(modes[:count], residual, signal.sample_rate)
+    return ImfSet(modes[:count], residual)
 
 
 def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
@@ -267,4 +264,4 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     acc, rows = fork_sum(trial, cfg.ensemble_size, (cfg.max_modes, len(x)))
     produced = max(rows)
     residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size
-    return ImfSet(acc[:produced] / cfg.ensemble_size, residual, signal.sample_rate)
+    return ImfSet(acc[:produced] / cfg.ensemble_size, residual)

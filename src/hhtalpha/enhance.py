@@ -7,14 +7,14 @@ reconstruction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._fork import fork_map
 from .emd import EemdConfig, ImfSet, eemd
-from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add
+from .signal import (FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add,
+                     whole_number)
 from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
@@ -38,10 +38,10 @@ class EnhanceConfig:
             raise ValueError("alpha_min must lie in [0.5, 2.0]")
         if self.threshold_combine not in ("floor", "literal_min"):
             raise ValueError("threshold_combine must be 'floor' or 'literal_min'")
-        if self.frame_len < MIN_SAMPLES:
-            raise ValueError(f"frame_len must be at least {MIN_SAMPLES} samples, "
-                             f"the minimum the alpha estimator accepts; got {self.frame_len}")
-        if self.step <= 0 or self.step > self.frame_len:
+        # the alpha estimator needs MIN_SAMPLES samples a frame
+        object.__setattr__(self, "frame_len", whole_number(self.frame_len, "frame_len", MIN_SAMPLES))
+        object.__setattr__(self, "step", whole_number(self.step, "step", 0))
+        if not 0 < self.step <= self.frame_len:
             raise ValueError("step must satisfy 0 < step <= frame_len")
 
 
@@ -68,17 +68,15 @@ class AlphaProfile:
         return self.per_mode.shape[1]
 
     def write_csv(self, path) -> None:
-        """Dump the profile for external plotting (one row per frame)."""
+        """Dump the profile for external plotting: a header, then one row per
+        frame, comma-separated with CRLF line ends."""
+        header = [f"alpha_{m + 1}" for m in range(self.mode_count)] + ["alpha_u", "rho_alpha", "Z"]
+        fmt = ["%.6f"] * (self.mode_count + 2) + ["%d"]
+        table = np.column_stack((self.per_mode, self.noisy, self.thresholds, self.cut_index))
+        # newline="" keeps the CRLF ends from being translated a second time
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = [f"alpha_{m + 1}" for m in range(self.mode_count)]
-            header += ["alpha_u", "rho_alpha", "Z"]
-            writer.writerow(header)
-            for q in range(self.frame_count):
-                row = [f"{a:.6f}" for a in self.per_mode[q]]
-                row += [f"{self.noisy[q]:.6f}", f"{self.thresholds[q]:.6f}",
-                        str(int(self.cut_index[q]))]
-                writer.writerow(row)
+            np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
 
 
 def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):

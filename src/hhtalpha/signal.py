@@ -40,7 +40,7 @@ class Signal:
         if not np.all(np.isfinite(samples)):
             raise ValueError("Signal samples must be finite")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", _whole_rate(self.sample_rate, "sample_rate"))
+        object.__setattr__(self, "sample_rate", whole_number(self.sample_rate, "sample_rate", 1))
 
     def __len__(self):
         return len(self.samples)
@@ -51,14 +51,14 @@ class Signal:
         return len(self.samples) / self.sample_rate
 
 
-def _whole_rate(rate, name: str) -> int:
-    """`rate` as an int; ValueError naming the value unless it is a positive
-    whole number of Hz (16000.0 and numpy integers pass)."""
-    if not (isinstance(rate, numbers.Real) and float(rate).is_integer()):
-        raise ValueError(f"{name} must be a whole number of Hz, got {rate!r}")
-    if rate <= 0:
-        raise ValueError(f"{name} must be positive, got {rate!r}")
-    return int(rate)
+def whole_number(value, name: str, minimum: int) -> int:
+    """`value` as an int; ValueError naming `name` unless it is a whole number
+    of at least `minimum` (16000.0 and numpy integers pass)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -246,6 +246,8 @@ def read_wav(path) -> Signal:
             raise ValueError(f"non-finite samples in {path}")
     else:
         raise ValueError(f"unsupported WAV encoding {data.dtype}: {path}")
+    if rate == 0:
+        raise ValueError(f"sample rate 0 Hz in the header of {path}")
     return Signal(samples, rate)
 
 
@@ -261,7 +263,7 @@ def resample(signal: Signal, target_rate: int) -> Signal:
 
     Output length is round(len * target/source).
     """
-    target_rate = _whole_rate(target_rate, "target_rate")
+    target_rate = whole_number(target_rate, "target_rate", 1)
     if target_rate == signal.sample_rate:
         return signal
     g = math.gcd(target_rate, signal.sample_rate)

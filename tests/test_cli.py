@@ -268,6 +268,20 @@ def test_unreadable_input_is_named(tmp_path, capsys, bad):
     assert capsys.readouterr().err == f"error: unreadable WAV {cut}: Unexpected end of file.\n"
 
 
+@pytest.mark.parametrize("command", ["enhance", "decompose", "alpha", "mix", "synth-noise"])
+def test_negative_seed_fails(tmp_path, clean_wav, capsys, command):
+    out = tmp_path / "o.wav"
+    args = {"enhance": ("enhance", "--in", clean_wav, "--out", out),
+            "decompose": ("decompose", "--in", clean_wav, "--out-prefix", tmp_path / "o_"),
+            "alpha": ("alpha", "--in", clean_wav, "--out", out),
+            "mix": ("mix", "--clean", clean_wav, "--noise", clean_wav, "--snr-db", 0,
+                    "--out", out),
+            "synth-noise": ("synth-noise", "--alpha", 1.5, "--duration", 1.0, "--out", out)}
+    assert run(*args[command], "--seed=-1") == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative whole number, got -1\n"
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
 def test_ensemble_snr_nan_or_minus_inf_fails(tmp_path, clean_wav, capsys, snr):
     out = tmp_path / "o.wav"

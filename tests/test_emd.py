@@ -3,6 +3,7 @@ import importlib
 import multiprocessing
 import os
 import pathlib
+import re
 import threading
 import time
 import tracemalloc
@@ -313,14 +314,14 @@ class TestSift:
 class TestImfSet:
     def test_modes_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="mode_count"):
-            ImfSet(np.zeros(100), np.zeros(100), 8000)
+            ImfSet(np.zeros(100), np.zeros(100))
 
     def test_mode_length_must_match_residual(self):
         with pytest.raises(ValueError, match="len\\(residual\\)"):
-            ImfSet(np.zeros((2, 99)), np.zeros(100), 8000)
+            ImfSet(np.zeros((2, 99)), np.zeros(100))
 
     def test_no_modes_totals_to_the_residual(self):
-        imfs = ImfSet(np.zeros((0, 100)), np.arange(100.0), 8000)
+        imfs = ImfSet(np.zeros((0, 100)), np.arange(100.0))
         assert imfs.mode_count == 0 and imfs.source_len == 100
         np.testing.assert_array_equal(imfs.total(), np.arange(100.0))
 
@@ -427,6 +428,24 @@ class TestEemd:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="ensemble_size must be >= 1"):
             EemdConfig(ensemble_size=0)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_modes", 2.5, "max_modes must be a whole number, got 2.5"),
+        ("ensemble_size", 2.5, "ensemble_size must be a whole number, got 2.5"),
+        ("ensemble_size", "5", "ensemble_size must be a whole number, got '5'"),
+        ("master_seed", 0.5, "master_seed must be a whole number, got 0.5"),
+        ("master_seed", -1, "master_seed must be >= 0, got -1"),
+        ("master_seed", np.int64(-1), "master_seed must be >= 0, got "),
+    ])
+    def test_count_or_seed_that_is_not_a_whole_number_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EemdConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [3.0, np.int64(3), np.float64(3)])
+    def test_whole_counts_and_seeds_stored_as_int(self, value):
+        cfg = EemdConfig(max_modes=value, ensemble_size=value, master_seed=value)
+        for name in ("max_modes", "ensemble_size", "master_seed"):
+            assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
 
     def test_degenerate_ensemble_equals_emd(self):
         x = tone(50) + tone(500)

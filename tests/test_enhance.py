@@ -58,10 +58,20 @@ def test_frame_shorter_than_estimator_minimum_rejected():
     ("alpha_min", 0.4, r"alpha_min must lie in \[0.5, 2.0\]"),
     ("threshold_combine", "max", "threshold_combine must be 'floor' or 'literal_min'"),
     ("step", 0, "step must satisfy 0 < step <= frame_len"),
+    ("frame_len", 2048.5, "frame_len must be a whole number, got 2048.5"),
+    ("frame_len", np.nan, "frame_len must be a whole number, got nan"),
+    ("step", 128.5, "step must be a whole number, got 128.5"),
+    ("step", "128", "step must be a whole number, got '128'"),
 ])
 def test_setting_out_of_range_rejected(setting, value, message):
     with pytest.raises(ValueError, match=message):
         EnhanceConfig(**{setting: value})
+
+
+def test_whole_frame_sizes_stored_as_int():
+    cfg = EnhanceConfig(frame_len=np.float64(2048), step=128.0)
+    assert (cfg.frame_len, cfg.step) == (2048, 128)
+    assert type(cfg.frame_len) is int and type(cfg.step) is int
 
 
 def thresholds(alpha_u, cfg):
@@ -137,7 +147,7 @@ class TestProfileAlpha:
     def test_stable_mode_frame(self):
         n = 20480
         mode = sample_sas(1.2, n, 3)
-        imfs = ImfSet(mode[np.newaxis], np.zeros(n), 16000)
+        imfs = ImfSet(mode[np.newaxis], np.zeros(n))
         grid = frame_grid(n, 10240, 10240)
         per_mode, _ = profile_alpha(imfs, mode, grid)
         assert per_mode.shape == (2, 1)
@@ -147,7 +157,7 @@ class TestProfileAlpha:
         n = 3000
         x = np.zeros(n)
         x[:1024] = np.sin(np.arange(1024.0))
-        imfs = ImfSet(x[np.newaxis], np.zeros(n), 16000)
+        imfs = ImfSet(x[np.newaxis], np.zeros(n))
         grid = frame_grid(n, 1024, 1024)
         per_mode, _ = profile_alpha(imfs, x, grid)
         # frames 1 and 2 are all-zero
@@ -155,7 +165,7 @@ class TestProfileAlpha:
         assert per_mode[2, 0] == 2.0
 
     def test_length_mismatch_rejected(self):
-        imfs = ImfSet(np.zeros((1, 100)), np.zeros(100), 1)
+        imfs = ImfSet(np.zeros((1, 100)), np.zeros(100))
         grid = frame_grid(100, 50, 50)
         with pytest.raises(ValueError, match="mode length does not match"):
             profile_alpha(imfs, np.zeros(99), grid)
@@ -180,7 +190,7 @@ class TestProfileAlpha:
         imfs = random_imfs(rng, n, 3)
         ties = np.round(imfs.modes[0] * 4)
         ties[n // 4 : n // 2] = 0.0
-        imfs = ImfSet(np.vstack([imfs.modes, ties]), imfs.residual, 16000)
+        imfs = ImfSet(np.vstack([imfs.modes, ties]), imfs.residual)
         noisy = imfs.total()
         grid = frame_grid(n, frame_len, step)
         got = profile_alpha(imfs, noisy, grid)
@@ -367,7 +377,7 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
 
 def random_imfs(rng, n, modes):
     return ImfSet(modes=rng.standard_normal((modes, n)) * 0.5 ** np.arange(modes)[:, np.newaxis],
-                  residual=rng.standard_normal(n), sample_rate=16000)
+                  residual=rng.standard_normal(n))
 
 
 class TestReconstruct:

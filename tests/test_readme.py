@@ -1,4 +1,4 @@
-"""The README's library example runs as written, and PAPER.md carries the same copy."""
+"""The README's library example runs as written, and PAPER.md carries the same text."""
 
 import re
 from pathlib import Path
@@ -19,7 +19,8 @@ def library_example(doc: str) -> str:
 
 
 def test_paper_md_carries_the_same_example():
-    assert library_example("PAPER.md") == library_example("README.md")
+    # PAPER.md is README.md after a title header, library example included
+    assert (ROOT / "PAPER.md").read_text().endswith((ROOT / "README.md").read_text())
 
 
 def test_library_example_runs(tmp_path, monkeypatch):

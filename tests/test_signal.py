@@ -117,6 +117,13 @@ class TestWav:
         with pytest.raises(ValueError, match=re.escape(f"unsupported WAV encoding int32: {path}")):
             read_wav(path)
 
+    def test_zero_sample_rate_names_the_file(self, tmp_path):
+        from scipy.io import wavfile
+        path = tmp_path / "zero.wav"
+        wavfile.write(path, 0, np.zeros(100, dtype=np.int16))
+        with pytest.raises(ValueError, match=re.escape(f"sample rate 0 Hz in the header of {path}")):
+            read_wav(path)
+
     def test_header_round_trip(self, tmp_path):
         from scipy.io import wavfile
         path = tmp_path / "f.wav"
