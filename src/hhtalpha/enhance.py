@@ -40,9 +40,7 @@ class EnhanceConfig:
             raise ValueError("threshold_combine must be 'floor' or 'literal_min'")
         # the alpha estimator needs MIN_SAMPLES samples a frame
         object.__setattr__(self, "frame_len", whole_number(self.frame_len, "frame_len", MIN_SAMPLES))
-        object.__setattr__(self, "step", whole_number(self.step, "step", 0))
-        if not 0 < self.step <= self.frame_len:
-            raise ValueError("step must satisfy 0 < step <= frame_len")
+        object.__setattr__(self, "step", frame_grid(0, self.frame_len, self.step).step)
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,8 @@ def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
 
     Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
     residual trend is never included.  Output length equals the source
-    length exactly.
+    length exactly.  `overlap_add` rejects a cut index outside 0..mode_count.
     """
-    cut_index = np.asarray(cut_index)
-    if cut_index.dtype.kind not in "iu" or np.any((cut_index < 0) | (cut_index > imfs.mode_count)):
-        raise ValueError(f"cut indices must be integers in 0..{imfs.mode_count}, the mode count")
     # row z holds modes 1..z, so each frame's cut index names its source row
     prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
     np.cumsum(imfs.modes, axis=0, out=prefix[1:])

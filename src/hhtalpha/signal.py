@@ -51,12 +51,12 @@ class Signal:
         return len(self.samples) / self.sample_rate
 
 
-def whole_number(value, name: str, minimum: int) -> int:
+def whole_number(value, name: str, minimum: int | None = None) -> int:
     """`value` as an int; ValueError naming `name` unless it is a whole number
-    of at least `minimum` (16000.0 and numpy integers pass)."""
+    (16000.0 and numpy integers pass) of at least `minimum`, when one is given."""
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
@@ -76,8 +76,9 @@ def hann_window(length: int) -> np.ndarray:
 
     Symmetric, strictly positive, and sums to a constant under any hop
     length/k with integer k >= 2 (at hop = length the sum is the window itself).
+    Raises ValueError unless `length` is a whole number of at least 1.
     """
-    k = np.arange(length)
+    k = np.arange(whole_number(length, "length", 1))
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * (k + 0.5) / length))
 
 
@@ -86,14 +87,16 @@ def frame_grid(total_len: int, frame_len: int, step: int) -> FrameGrid:
 
     Frame q covers [q*step, q*step + frame_len); frames running past the end
     are zero-padded.  The count is the smallest Q with Q*step >= total_len,
-    so every sample is covered by at least one frame.
+    so every sample is covered by at least one frame.  Sizes are whole numbers.
     """
+    total_len, frame_len, step = (whole_number(total_len, "total_len"),
+                                  whole_number(frame_len, "frame_len"), whole_number(step, "step"))
     if frame_len <= 0:
-        raise ValueError("frame_len must be positive")
+        raise ValueError(f"frame_len must be positive, got {frame_len}")
     if step <= 0 or step > frame_len:
-        raise ValueError("step must satisfy 0 < step <= frame_len")
+        raise ValueError(f"step must satisfy 0 < step <= frame_len = {frame_len}, got {step}")
     if total_len < 0:
-        raise ValueError("total_len must be non-negative")
+        raise ValueError(f"total_len must be non-negative, got {total_len}")
     count = math.ceil(total_len / step)
     return FrameGrid(frame_len=frame_len, step=step, count=count, total_len=total_len)
 
@@ -126,13 +129,14 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     turn each rank into one binary search and one lookup in the merged run.
     Dropping the block's leaving samples gives the next block's window.
     Memory is O(total_len + frame_len) whatever the overlap.  Raises
-    ValueError for a rank outside 0..frame_len-1.
+    ValueError for a rank that is not an integer in 0..frame_len-1.
     """
     frames = extract_frames(samples, grid)
-    ranks = np.asarray(ranks, dtype=np.intp)
+    ranks = np.asarray(ranks)
     n, step = grid.frame_len, grid.step
-    if np.any((ranks < 0) | (ranks >= n)):
-        raise ValueError(f"ranks must lie in 0..{n - 1}, the positions of a sorted frame")
+    if ranks.dtype.kind not in "iu" or np.any((ranks < 0) | (ranks >= n)):
+        raise ValueError(f"ranks must lie in 0..{n - 1} as integers, the positions of a sorted frame")
+    ranks = ranks.astype(np.intp)
     out = np.empty((grid.count, len(ranks)))
     if grid.count == 0:
         return out
@@ -199,12 +203,16 @@ def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray
     window-overlap sum P(t) = sum_q w(t - q*step) wherever P(t) > 0, however
     small; a sample no window weight reaches is emitted as 0.  The output
     has grid.total_len samples, each summed over its frames in ascending q.
+    Raises ValueError unless each choice is an integer in 0..len(sources)-1.
     """
     sources = np.asarray(sources, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[1] != grid.total_len:
         raise ValueError("sources must be a (rows, grid.total_len) array")
-    if np.shape(choice) != (grid.count,):
+    choice = np.asarray(choice)
+    if choice.shape != (grid.count,):
         raise ValueError("choice needs one source row per frame of the grid")
+    if choice.dtype.kind not in "iu" or np.any((choice < 0) | (choice >= len(sources))):
+        raise ValueError(f"choices must be integers in 0..{len(sources) - 1}, the source rows")
     if len(window) != grid.frame_len:
         raise ValueError("window length does not match grid.frame_len")
     acc = np.zeros(grid.total_len)

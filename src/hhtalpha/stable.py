@@ -7,9 +7,12 @@ both as a test oracle and as a synthetic impulsive-noise source.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .signal import whole_number
 
 MIN_SAMPLES = 100
 
@@ -26,8 +29,6 @@ TABLE_ALPHA.flags.writeable = TABLE_NU.flags.writeable = False
 @dataclass(frozen=True)
 class AlphaEstimate:
     alpha: float
-    nu_alpha: float
-    sample_count: int
 
 
 def alpha_from_nu(nu):
@@ -115,7 +116,7 @@ def estimate_alpha(samples) -> AlphaEstimate:
     nu = nu_alpha(samples)
     if np.isnan(nu):
         raise ValueError("degenerate input: zero interquartile range")
-    return AlphaEstimate(alpha=float(alpha_from_nu(nu)), nu_alpha=nu, sample_count=samples.size)
+    return AlphaEstimate(alpha=float(alpha_from_nu(nu)))
 
 
 def sample_sas(alpha: float, n: int, seed) -> np.ndarray:
@@ -124,10 +125,14 @@ def sample_sas(alpha: float, n: int, seed) -> np.ndarray:
     Chambers-Mallows-Stuck construction:
         X = sin(alpha*U)/cos(U)**(1/alpha) * (cos(U - alpha*U)/W)**((1-alpha)/alpha)
     with U ~ uniform(-pi/2, pi/2) and W ~ exponential(1).  alpha = 2 gives a
-    Gaussian with variance 2; alpha = 1 gives a standard Cauchy.
+    Gaussian with variance 2; alpha = 1 gives a standard Cauchy.  `n` is a whole
+    number >= 0; `seed` is one too, or a SeedSequence, Generator or None.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
+    n = whole_number(n, "n", 0)
+    if isinstance(seed, numbers.Real):
+        seed = whole_number(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
     w = rng.exponential(1.0, size=n)

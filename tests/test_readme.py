@@ -1,9 +1,12 @@
-"""The README's library example runs as written, and PAPER.md carries the same text."""
+"""The README's library example runs as written, its command-line examples
+parse, and PAPER.md carries the same text."""
 
 import re
+import shlex
 from pathlib import Path
 
 from hhtalpha import Signal, sample_sas, write_wav
+from hhtalpha.cli import build_parser
 
 from conftest import RATE, make_speech_proxy, mix_at_snr
 
@@ -34,3 +37,22 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert (tmp_path / "enhanced.wav").exists()
     assert len(namespace["enhanced"]) == RATE
     assert namespace["profile"].cut_index.shape == (namespace["grid"].count,)
+
+
+def command_lines(doc: str) -> list[str]:
+    """The lines of the sh block under "## Command line" in `doc` that are
+    neither blank nor comments, with backslash continuations joined."""
+    text = (ROOT / doc).read_text()
+    match = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", text, re.M | re.S)
+    assert match, f"{doc} has no command-line example"
+    joined = match.group(1).replace("\\\n", " ")
+    return [line for line in joined.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def test_command_line_examples_parse():
+    commands = command_lines("README.md")
+    assert commands
+    for line in commands:
+        program, *words = shlex.split(line, comments=True)
+        assert program == "hht-alpha", line
+        assert build_parser().parse_args(words).command == words[0], line

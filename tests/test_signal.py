@@ -151,6 +151,21 @@ class TestFrameGrid:
         with pytest.raises(ValueError, match="total_len must be non-negative"):
             frame_grid(-1, 8, 4)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((1000, 200, 50.5), "step must be a whole number, got 50.5"),
+        ((1000, 200.5, 50), "frame_len must be a whole number, got 200.5"),
+        ((1000.5, 200, 50), "total_len must be a whole number, got 1000.5"),
+        ((1000, 200, "50"), "step must be a whole number, got '50'"),
+    ])
+    def test_fractional_size_rejected(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            frame_grid(*sizes)
+
+    def test_whole_sizes_stored_as_int(self):
+        grid = frame_grid(1000.0, np.int64(200), 50.0)
+        assert grid == frame_grid(1000, 200, 50)
+        assert all(type(v) is int for v in (grid.total_len, grid.frame_len, grid.step))
+
     def test_full_coverage(self):
         grid = frame_grid(1000, 64, 17)
         covered = np.zeros(1000, bool)
@@ -207,6 +222,14 @@ class TestOverlapAdd:
         with pytest.raises(ValueError):
             overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid, win)
 
+    @pytest.mark.parametrize("row", [-1, 2, 1.0])
+    def test_choice_outside_source_rows_rejected(self, row):
+        # a negative row would wrap round to the last one
+        sources = np.vstack([np.zeros(16), np.ones(16)])
+        grid = frame_grid(16, 8, 4)
+        with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
+            overlap_add(sources, np.full(grid.count, row), grid, hann_window(8))
+
     def test_shape_mismatch_rejected(self):
         grid = frame_grid(1024, 256, 128)
         choice = np.zeros(grid.count, int)
@@ -222,6 +245,14 @@ class TestWindow:
         np.testing.assert_allclose(win, win[::-1])
         assert np.all(win >= 0)
         assert np.argmax(win) in (255, 256)
+
+    @pytest.mark.parametrize("length, message", [
+        (2.5, "length must be a whole number, got 2.5"),
+        (0, "length must be >= 1, got 0"),
+    ])
+    def test_size_that_is_not_a_positive_whole_number_rejected(self, length, message):
+        with pytest.raises(ValueError, match=message):
+            hann_window(length)
 
 
 class TestResample:
@@ -430,7 +461,7 @@ class TestFrameOrderStats:
         assert (frame_order_stats(x, grid, ranks).tobytes()
                 == reference_frame_order_stats(x, grid, ranks).tobytes())
 
-    @pytest.mark.parametrize("rank", [-1, 8, 100])
+    @pytest.mark.parametrize("rank", [-1, 8, 100, 0.5, 2.0])
     def test_rank_outside_frame_rejected(self, rank):
         with pytest.raises(ValueError, match=r"ranks must lie in 0\.\.7"):
             frame_order_stats(np.arange(10.0), frame_grid(10, 8, 4), [0, rank])

@@ -194,6 +194,24 @@ class TestSampleSas:
         with pytest.raises(ValueError):
             sample_sas(0.0, 10, 0)
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (10.5, 1, "n must be a whole number, got 10.5"),
+        (-1, 1, "n must be >= 0, got -1"),
+        (10, -1, "seed must be >= 0, got -1"),
+        (10, np.int64(-2), "seed must be >= 0, got "),
+        (10, 1.5, "seed must be a whole number, got 1.5"),
+    ])
+    def test_count_or_seed_rejected_by_name(self, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample_sas(1.5, n, seed)
+
+    def test_whole_count_and_seed_pass(self):
+        expected = sample_sas(1.5, 5, 1)
+        np.testing.assert_array_equal(sample_sas(1.5, 5.0, 1), expected)
+        np.testing.assert_array_equal(sample_sas(1.5, np.int64(5), 1.0), expected)
+        np.testing.assert_array_equal(sample_sas(1.5, 5, np.random.SeedSequence(1)), expected)
+        assert len(sample_sas(1.5, 5, np.random.default_rng(1))) == 5
+
 
 class TestLookup:
     def test_default_is_published(self):
