@@ -164,10 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hht-alpha",
         description="Time-domain impulsive-noise speech enhancement toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enhance", help="enhance a noisy mono WAV file")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        # an abbreviated flag would silently set whichever flag it prefixes
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = command("enhance", help="enhance a noisy mono WAV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_selection_flags(p)
@@ -175,20 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eemd_flags(p)
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("decompose", help="write the modes and residual of a WAV file")
+    p = command("decompose", help="write the modes and residual of a WAV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-prefix", required=True)
     _add_eemd_flags(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("alpha", help="dump the per-frame alpha profile as CSV")
+    p = command("alpha", help="dump the per-frame alpha profile as CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_selection_flags(p)
     _add_eemd_flags(p)
     p.set_defaults(func=cmd_alpha)
 
-    p = sub.add_parser("mix", help="mix clean speech with noise at a target SNR")
+    p = command("mix", help="mix clean speech with noise at a target SNR")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--snr-db", type=float, required=True)
@@ -196,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("synth-noise", help="generate impulsive alpha-stable noise")
+    p = command("synth-noise", help="generate impulsive alpha-stable noise")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--rate", type=int, default=16000)
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_synth_noise)
 
-    p = sub.add_parser("eval", help="objective metrics for a clean/processed pair")
+    p = command("eval", help="objective metrics for a clean/processed pair")
     p.add_argument("--clean", required=True)
     p.add_argument("--processed", required=True)
     p.add_argument("--metrics", default="llr,fwsnrseg,stoi",

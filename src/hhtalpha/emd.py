@@ -240,7 +240,8 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
 
     The trials run through `fork_sum`, on forked workers or in the calling
     process, and each adds its modes into one shared sum in trial order, so
-    the output is bit-identical either way.
+    the output is bit-identical either way.  The averaged modes are that sum,
+    divided in place: the caller holds no second copy of them.
     """
     _check_length(signal)
     x = signal.samples
@@ -262,6 +263,7 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     import scipy.linalg.lapack  # noqa: F401
 
     acc, rows = fork_sum(trial, cfg.ensemble_size, (cfg.max_modes, len(x)))
-    produced = max(rows)
-    residual = x - acc[:produced].sum(axis=0) / cfg.ensemble_size
-    return ImfSet(acc[:produced] / cfg.ensemble_size, residual)
+    modes = acc[: max(rows)]
+    residual = x - modes.sum(axis=0) / cfg.ensemble_size
+    modes /= cfg.ensemble_size
+    return ImfSet(modes, residual)

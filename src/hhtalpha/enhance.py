@@ -131,10 +131,7 @@ def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
     residual trend is never included.  Output length equals the source
     length exactly.  `overlap_add` rejects a cut index outside 0..mode_count.
     """
-    # row z holds modes 1..z, so each frame's cut index names its source row
-    prefix = np.zeros((imfs.mode_count + 1, imfs.source_len))
-    np.cumsum(imfs.modes, axis=0, out=prefix[1:])
-    return overlap_add(prefix, cut_index, grid, hann_window(grid.frame_len))
+    return overlap_add(imfs.modes, cut_index, grid, hann_window(grid.frame_len))
 
 
 def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):

@@ -297,15 +297,14 @@ def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")
     if unknown:
         raise ValueError(f"unknown metric: {unknown[0]!r}")
     report = MetricReport()
-    frames = None
-    for name in which:
-        if name in ("llr", "fwsnrseg") and frames is None:
-            frames = _active_frames(clean, processed)
-        if name == "llr":
+    # STOI first, so its peak never lands on top of the LLR/fwSNRseg frame matrices
+    if "stoi" in which:
+        report.stoi = stoi(clean, processed)
+        report.stoi_pct = float(map_intelligibility(report.stoi))
+    if "llr" in which or "fwsnrseg" in which:
+        frames = _active_frames(clean, processed)
+        if "llr" in which:
             report.llr = _llr(*frames)
-        elif name == "fwsnrseg":
+        if "fwsnrseg" in which:
             report.fwsnrseg_db = _fwsnrseg(*frames, clean.sample_rate)
-        elif name == "stoi":
-            report.stoi = stoi(clean, processed)
-            report.stoi_pct = float(map_intelligibility(report.stoi))
     return report

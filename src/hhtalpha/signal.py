@@ -195,34 +195,54 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def overlap_add(sources: np.ndarray, choice, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Overlap-add windowed frames, each cut from its chosen source row.
+def overlap_add(modes: np.ndarray, kept, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
+    """Overlap-add windowed frames, each the sum of its kept leading modes.
 
-    Frame q is window * sources[choice[q]] over [q*step, q*step + frame_len),
-    zero past the end of the signal.  Each output sample is divided by the
-    window-overlap sum P(t) = sum_q w(t - q*step) wherever P(t) > 0, however
-    small; a sample no window weight reaches is emitted as 0.  The output
-    has grid.total_len samples, each summed over its frames in ascending q.
-    Raises ValueError unless each choice is an integer in 0..len(sources)-1.
+    Frame q is window * (modes[0] + ... + modes[kept[q] - 1]) over
+    [q*step, q*step + frame_len), zero past the end of the signal and where
+    kept[q] is 0.  Each output sample is divided by the window-overlap sum
+    P(t) = sum_q w(t - q*step) wherever P(t) > 0, however small; a sample no
+    window weight reaches is emitted as 0.  The output has grid.total_len
+    samples, each summed over its frames in ascending q.
+
+    The running mode sums are built for one batch of frame_len // step
+    frames at a time, over the fewer than two frame lengths the batch
+    spans, so memory beyond the modes is O(total_len + modes * frame_len).
+    Raises ValueError unless each kept count is an integer in 0..len(modes).
     """
-    sources = np.asarray(sources, dtype=np.float64)
-    if sources.ndim != 2 or sources.shape[1] != grid.total_len:
-        raise ValueError("sources must be a (rows, grid.total_len) array")
-    choice = np.asarray(choice)
-    if choice.shape != (grid.count,):
-        raise ValueError("choice needs one source row per frame of the grid")
-    if choice.dtype.kind not in "iu" or np.any((choice < 0) | (choice >= len(sources))):
-        raise ValueError(f"choices must be integers in 0..{len(sources) - 1}, the source rows")
+    modes = np.asarray(modes, dtype=np.float64)
+    if modes.ndim != 2 or modes.shape[1] != grid.total_len:
+        raise ValueError("modes must be a (rows, grid.total_len) array")
+    kept = np.asarray(kept)
+    if kept.shape != (grid.count,):
+        raise ValueError("kept needs one mode count per frame of the grid")
+    if kept.dtype.kind not in "iu" or np.any((kept < 0) | (kept > len(modes))):
+        raise ValueError(f"kept counts must be integers in 0..{len(modes)}, the leading modes")
     if len(window) != grid.frame_len:
         raise ValueError("window length does not match grid.frame_len")
+    n, step = grid.frame_len, grid.step
+    batch = n // step
     acc = np.zeros(grid.total_len)
     overlap = np.zeros(grid.total_len)
-    for q, row in enumerate(choice):
-        span = slice(q * grid.step, q * grid.step + grid.frame_len)
-        chunk = sources[row, span]
-        w = window[: len(chunk)]
-        acc[span] += chunk * w
-        overlap[span] += w
+    # row z holds modes 1..z over the batch's columns; row 0 stays zero
+    sums = np.zeros((len(modes) + 1, min((batch - 1) * step + n, grid.total_len)))
+    for first in range(0, grid.count, batch):
+        last = min(first + batch, grid.count)
+        lo, hi = first * step, min((last - 1) * step + n, grid.total_len)
+        table = sums[:, : hi - lo]
+        # np.cumsum's additions along the modes, one row at a time (numpy's
+        # cumsum down strided columns is several times slower).  A column
+        # adds the same values in the same order whatever columns are taken
+        # with it, so each batch's bytes match one table over the whole signal
+        table[1:2] = modes[:1, lo:hi]
+        for z in range(1, len(modes)):
+            np.add(table[z], modes[z, lo:hi], out=table[z + 1])
+        for q in range(first, last):
+            span = slice(q * step, q * step + n)
+            chunk = table[kept[q], q * step - lo : q * step - lo + n]
+            w = window[: len(chunk)]
+            acc[span] += chunk * w
+            overlap[span] += w
     return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap > 0)
 
 

@@ -282,6 +282,18 @@ def test_negative_seed_fails(tmp_path, clean_wav, capsys, command):
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["enhance", "--in", "a.wav", "--out", "b.wav", "--alpha", "1.2"],
+    ["mix", "--clean", "c.wav", "--noise", "n.wav", "--snr", "0", "--out", "m.wav"],
+], ids=["enhance-alpha", "mix-snr"])
+def test_abbreviated_flag_rejected(capsys, argv):
+    # a prefix would otherwise set the one flag it abbreviates (--alpha-min, --snr-db)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert ": error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
 def test_ensemble_snr_nan_or_minus_inf_fails(tmp_path, clean_wav, capsys, snr):
     out = tmp_path / "o.wav"

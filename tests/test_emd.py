@@ -574,6 +574,19 @@ print(seen)
         assert 4 <= started.value <= 8
         assert multiprocessing.active_children() == []
 
+    def test_caller_holds_one_copy_of_the_modes(self):
+        # the modes are the trials' shared sum, divided in place; what the
+        # caller still holds in traced memory is little more than the residual
+        x = np.random.default_rng(14).standard_normal(16000)
+        tracemalloc.start()
+        try:
+            imfs = eemd(Signal(x, 16000), EemdConfig(ensemble_size=2, max_modes=10))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert imfs.mode_count == 10
+        assert retained < imfs.mode_count * len(x) * 8 / 2
+
     def test_threaded_caller_runs_trials_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a caller with threads must not fork")
@@ -594,6 +607,15 @@ print(seen)
         modes, residual = reference_eemd(x, 8000, cfg)
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
+
+
+def test_fork_sum_result_that_does_not_fit_reaches_caller(monkeypatch):
+    # the failed addition still passes the turn on, so no later call waits forever
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with within(30):
+        with pytest.raises(ValueError):
+            fork_module.fork_sum(lambda i: np.ones((3, 8)), 4, (2, 8))
+    assert multiprocessing.active_children() == []
 
 
 def test_only_fork_module_imports_process_machinery():

@@ -382,7 +382,9 @@ def random_imfs(rng, n, modes):
 
 class TestReconstruct:
     # (length, frame_len, step): steps that do and do not divide the frame,
-    # step == frame_len, count * step past the end, a signal shorter than a frame
+    # step == frame_len, count * step past the end, a signal shorter than a
+    # frame; the first and last leave overlap_add's last batch of
+    # frame_len // step frames part-filled
     GRIDS = [(1000, 128, 48), (777, 100, 100), (2048, 256, 64), (50, 128, 48), (1031, 200, 7)]
 
     @pytest.mark.parametrize("kind", ["hann", "rectangular"])
@@ -404,10 +406,9 @@ class TestReconstruct:
                 assert out.tobytes() == expected.tobytes()
 
     def test_memory_independent_of_frame_overlap(self):
-        # 128 frames cover each sample; a frames matrix would take 128 x length.
-        # The (modes + 1) x length table of running sums and a few length-long
-        # rows fit the tighter bound; a stacked copy of the modes beside the
-        # table would not
+        # 128 frames cover each sample; a frames matrix would take 128 x length,
+        # and a stacked copy of the modes beside a table of running sums would
+        # break the tighter bound
         n, modes = 16000, 10
         rng = np.random.default_rng(3)
         imfs = random_imfs(rng, n, modes)
@@ -421,6 +422,22 @@ class TestReconstruct:
             tracemalloc.stop()
         assert peak <= 4 * (modes + 1) * n * 8
         assert peak <= (modes + 8) * n * 8
+
+    def test_running_sums_held_a_batch_of_frames_at_a_time(self):
+        # one (modes + 1) x length table of running sums would be 14 MB here;
+        # a batch's table spans less than two frames, 1.8 MB
+        n, modes = 160_000, 10
+        rng = np.random.default_rng(4)
+        imfs = random_imfs(rng, n, modes)
+        grid = frame_grid(n, 10240, 128)
+        cut = rng.integers(0, modes + 1, grid.count)
+        tracemalloc.start()
+        try:
+            reconstruct(imfs, cut, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (modes + 1) * n * 8 / 2
 
     def _setup(self, n=8192):
         x = make_speech_proxy(n=n, bursts=((0.05, 0.2), (0.3, 0.15)))

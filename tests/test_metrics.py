@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -276,6 +278,21 @@ class TestEvaluate:
         assert len(calls) == 1
         evaluate(clean, clean, which=("stoi",))
         assert len(calls) == 1
+
+    def test_stoi_peak_not_stacked_on_the_frame_matrices(self):
+        # a 9.6 s pair: evaluate peaks no higher than STOI alone
+        clean = Signal(make_speech_proxy(n=153_600), RATE)
+        processed = degraded(clean, 0.0, kind="sas")
+        evaluate(clean, processed)  # loads and caches what the first call needs
+        peaks = []
+        for score in (stoi, evaluate):
+            tracemalloc.start()
+            try:
+                score(clean, processed)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
 
 class TestOracle:

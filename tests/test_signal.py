@@ -187,13 +187,13 @@ class TestOverlapAdd:
         x = np.arange(1024, dtype=float)
         grid = frame_grid(1024, 256, 256)
         win = np.ones(256)
-        rec = overlap_add(x[np.newaxis], np.zeros(grid.count, int), grid, win)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid, win)
         np.testing.assert_array_equal(rec, x)
 
     def test_cola_identity_constant(self):
         grid = frame_grid(38400, 10240, 128)
         win = hann_window(10240)
-        rec = overlap_add(np.ones((1, 38400)), np.zeros(grid.count, int), grid, win)
+        rec = overlap_add(np.ones((1, 38400)), np.ones(grid.count, int), grid, win)
         assert np.max(np.abs(rec - 1.0)) < 1e-10
 
     def test_cola_identity_random(self):
@@ -201,19 +201,19 @@ class TestOverlapAdd:
         x = rng.standard_normal(20000)
         grid = frame_grid(20000, 2048, 256)
         win = hann_window(2048)
-        rec = overlap_add(x[np.newaxis], np.zeros(grid.count, int), grid, win)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid, win)
         assert np.max(np.abs(rec - x)) < 1e-8
 
     def test_long_frames_cover_the_signal_edges(self):
         # the Hann weight at a 16384-sample frame's first sample is 9.2e-9
         grid = frame_grid(48000, 16384, 128)
-        rec = overlap_add(np.ones((1, 48000)), np.zeros(grid.count, int), grid, hann_window(16384))
+        rec = overlap_add(np.ones((1, 48000)), np.ones(grid.count, int), grid, hann_window(16384))
         np.testing.assert_array_equal(rec, 1.0)
 
     def test_samples_no_weight_reaches_are_zero(self):
         grid = frame_grid(16, 8, 8)
         win = np.array([0.0, 1, 1, 1, 1, 1, 1, 0])
-        rec = overlap_add(np.full((1, 16), 3.0), np.zeros(grid.count, int), grid, win)
+        rec = overlap_add(np.full((1, 16), 3.0), np.ones(grid.count, int), grid, win)
         np.testing.assert_array_equal(rec, np.where(np.tile(win, 2) > 0, 3.0, 0.0))
 
     def test_frame_count_mismatch_rejected(self):
@@ -222,13 +222,20 @@ class TestOverlapAdd:
         with pytest.raises(ValueError):
             overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid, win)
 
+    def test_each_frame_sums_its_kept_leading_modes(self):
+        modes = np.array([np.full(12, 1.0), np.full(12, 10.0), np.full(12, 100.0)])
+        grid = frame_grid(12, 3, 3)
+        rec = overlap_add(modes, [0, 1, 2, 3], grid, np.ones(3))
+        np.testing.assert_array_equal(rec, np.repeat([0.0, 1.0, 11.0, 111.0], 3))
+
     @pytest.mark.parametrize("row", [-1, 2, 1.0])
     def test_choice_outside_source_rows_rejected(self, row):
-        # a negative row would wrap round to the last one
-        sources = np.vstack([np.zeros(16), np.ones(16)])
+        # a kept count is a row of the running sums: a negative one would wrap
+        # round to the sum of all modes
+        modes = np.ones((1, 16))
         grid = frame_grid(16, 8, 4)
         with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
-            overlap_add(sources, np.full(grid.count, row), grid, hann_window(8))
+            overlap_add(modes, np.full(grid.count, row), grid, hann_window(8))
 
     def test_shape_mismatch_rejected(self):
         grid = frame_grid(1024, 256, 128)
