@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .enhance import EnhanceConfig, analyse
 from .enhance import enhance as run_enhance
-from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, evaluate
+from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, METRICS, evaluate
 from .emd import EemdConfig, eemd
 from .signal import Signal, read_wav, write_wav
 from .stable import sample_sas
@@ -73,7 +74,12 @@ def cmd_enhance(args) -> int:
     enhanced, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
     write_wav(enhanced, args.outfile)
     if args.profile:
-        profile.write_csv(args.profile)
+        try:
+            profile.write_csv(args.profile)
+        except OSError:
+            # a failed command leaves no output behind
+            os.remove(args.outfile)
+            raise
     return 0
 
 
@@ -212,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", help="objective metrics for a clean/processed pair")
     p.add_argument("--clean", required=True)
     p.add_argument("--processed", required=True)
-    p.add_argument("--metrics", default="llr,fwsnrseg,stoi",
-                   help="comma-separated subset of llr,fwsnrseg,stoi")
+    p.add_argument("--metrics", default=",".join(METRICS),
+                   help=f"comma-separated subset of {','.join(METRICS)}")
     p.set_defaults(func=cmd_eval)
 
     return parser

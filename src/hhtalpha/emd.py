@@ -207,7 +207,7 @@ def _check_length(signal: Signal) -> None:
         raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
 
 
-def emd(signal: Signal, max_modes: int = 10) -> ImfSet:
+def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     """Decompose a signal into oscillatory modes plus a residual trend.
 
     Modes are extracted from the running residual until max_modes are found

@@ -13,8 +13,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .emd import EemdConfig, ImfSet, eemd
-from .signal import (FrameGrid, Signal, frame_grid, frame_order_stats, hann_window, overlap_add,
-                     whole_number)
+from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, overlap_add, whole_number
 from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
@@ -131,7 +130,7 @@ def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
     residual trend is never included.  Output length equals the source
     length exactly.  `overlap_add` rejects a cut index outside 0..mode_count.
     """
-    return overlap_add(imfs.modes, cut_index, grid, hann_window(grid.frame_len))
+    return overlap_add(imfs.modes, cut_index, grid)
 
 
 def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):

@@ -19,6 +19,9 @@ from .signal import Signal, resample
 STOI_MAP_A = -13.45
 STOI_MAP_B = 9.36
 
+# The measures `evaluate` computes, by name.
+METRICS = ("llr", "fwsnrseg", "stoi")
+
 _EPS = 1e-15
 
 
@@ -101,10 +104,10 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _autocorr(rows: np.ndarray, order: int) -> np.ndarray:
-    """Lags 0..order of each row's autocorrelation, shape (rows, order + 1)."""
+def _autocorr(rows: np.ndarray) -> np.ndarray:
+    """Lags 0..LPC_ORDER of each row's autocorrelation, shape (rows, LPC_ORDER + 1)."""
     n = rows.shape[1]
-    return np.stack([_row_dots(rows[:, : n - k], rows[:, k:]) for k in range(order + 1)],
+    return np.stack([_row_dots(rows[:, : n - k], rows[:, k:]) for k in range(LPC_ORDER + 1)],
                     axis=1)
 
 
@@ -149,14 +152,14 @@ def _llr(c_frames: np.ndarray, p_frames: np.ndarray) -> float:
     if c_frames.shape[1] <= LPC_ORDER:
         raise ValueError(f"analysis frame of {c_frames.shape[1]} samples is not longer than "
                          f"the LPC order {LPC_ORDER}")
-    rc = _autocorr(c_frames, LPC_ORDER)
-    rp = _autocorr(p_frames, LPC_ORDER)
+    rc = _autocorr(c_frames)
+    rp = _autocorr(p_frames)
     usable = (rc[:, 0] > 0.0) & (rp[:, 0] > 0.0)
     rc, rp = rc[usable], rp[usable]
     coefs, live = _lpc(np.concatenate([rc, rp]))
     # a R_c a' from the Toeplitz structure: r_0 sum(a_i^2) + 2 sum_k r_k sum_i a_i a_(i+k)
     weights = rc * np.r_[1.0, np.full(LPC_ORDER, 2.0)]
-    forms = _autocorr(coefs, LPC_ORDER)
+    forms = _autocorr(coefs)
     den = np.sum(forms[: len(rc)] * weights, axis=1)
     num = np.sum(forms[len(rc):] * weights, axis=1)
     scored = (num > 0.0) & (den > 0.0) & live[: len(rc)]
@@ -165,17 +168,17 @@ def _llr(c_frames: np.ndarray, p_frames: np.ndarray) -> float:
     return float(np.mean(np.clip(np.log(num[scored] / den[scored]), 0.0, 2.0)))
 
 
-def _triangular_bank(n_bands: int, lo: float, hi: float, freqs: np.ndarray) -> np.ndarray:
-    """Triangular filters with centers spaced on a mel-like log scale."""
+def _triangular_bank(hi: float, freqs: np.ndarray) -> np.ndarray:
+    """N_BANDS triangular filters over BAND_LO_HZ..hi, centers on a mel-like log scale."""
     def mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
 
     def imel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    edges = imel(np.linspace(mel(lo), mel(hi), n_bands + 2))
-    bank = np.zeros((n_bands, len(freqs)))
-    for j in range(n_bands):
+    edges = imel(np.linspace(mel(BAND_LO_HZ), mel(hi), N_BANDS + 2))
+    bank = np.zeros((N_BANDS, len(freqs)))
+    for j in range(N_BANDS):
         f0, f1, f2 = edges[j], edges[j + 1], edges[j + 2]
         up = (freqs - f0) / max(f1 - f0, _EPS)
         down = (f2 - freqs) / max(f2 - f1, _EPS)
@@ -198,7 +201,7 @@ def _fwsnrseg(c_frames: np.ndarray, p_frames: np.ndarray, rate: int) -> float:
     n = c_frames.shape[1]
     freqs = np.fft.rfftfreq(n, 1.0 / rate)
     hi = min(BAND_HI_HZ, rate / 2.0)
-    bank = _triangular_bank(N_BANDS, BAND_LO_HZ, hi, freqs)
+    bank = _triangular_bank(hi, freqs)
     cs = np.abs(np.fft.rfft(c_frames, axis=1))
     ps = np.abs(np.fft.rfft(p_frames, axis=1))
     xb = np.sqrt(cs ** 2 @ bank.T)
@@ -224,18 +227,16 @@ def _octave_band_matrix() -> np.ndarray:
     return mat
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of the rows with row i starting at sample i*hop, (rows - 1)*hop +
-    frame samples long.  Each hop-sized piece of every frame is added in one
-    step, so each sample sums its frames in ascending row order."""
-    count, n = frames.shape
-    pieces = -(-n // hop)
-    out = np.zeros((count + pieces - 1, hop))
-    # piece j of frame i lands in block i + j: descending j is ascending i
-    for j in reversed(range(pieces)):
-        part = frames[:, j * hop : (j + 1) * hop]
-        out[j : j + count, : part.shape[1]] += part
-    return out.ravel()[: (count - 1) * hop + n]
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum of the STOI_FRAME-sample rows with row i starting at sample
+    i*STOI_HOP, (rows + 1)*STOI_HOP samples long.  Each half of every frame is
+    added in one step, so each sample sums its frames in ascending row order."""
+    # STOI_FRAME is 2 * STOI_HOP, so block i + 1 adds the second half of row i
+    # before the first half of row i + 1
+    out = np.zeros((len(frames) + 1, STOI_HOP))
+    out[1:] += frames[:, STOI_HOP:]
+    out[:-1] += frames[:, :STOI_HOP]
+    return out.ravel()
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
@@ -246,7 +247,7 @@ def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
     # the loudest frame always passes, so at least one frame is kept
     keep = energy > energy.max() - STOI_DYN_RANGE_DB
-    return _overlap_add(xf[keep], hop), _overlap_add(yf[keep], hop)
+    return _overlap_add(xf[keep]), _overlap_add(yf[keep])
 
 
 def stoi(clean: Signal, processed: Signal) -> float:
@@ -289,11 +290,11 @@ def stoi(clean: Signal, processed: Signal) -> float:
     return float(np.clip(d, 0.0, 1.0))
 
 
-def evaluate(clean: Signal, processed: Signal, which=("llr", "fwsnrseg", "stoi")) -> MetricReport:
+def evaluate(clean: Signal, processed: Signal, which=METRICS) -> MetricReport:
     """Compute the requested metrics for a clean/processed pair, framing it once."""
     if not which:
         raise ValueError("no metric requested")
-    unknown = [name for name in which if name not in ("llr", "fwsnrseg", "stoi")]
+    unknown = [name for name in which if name not in METRICS]
     if unknown:
         raise ValueError(f"unknown metric: {unknown[0]!r}")
     report = MetricReport()

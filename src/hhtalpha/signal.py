@@ -74,7 +74,8 @@ class FrameGrid:
 def hann_window(length: int) -> np.ndarray:
     """Half-sample-centred Hann window, w[k] = 0.5 * (1 - cos(2*pi*(k + 0.5)/length)).
 
-    Symmetric, strictly positive, and sums to a constant under any hop
+    Symmetric, positive below about 3e8 samples (longer windows round their
+    edge weights to 0.0), and sums to a constant under any hop
     length/k with integer k >= 2 (at hop = length the sum is the window itself).
     Raises ValueError unless `length` is a whole number of at least 1.
     """
@@ -195,11 +196,11 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def overlap_add(modes: np.ndarray, kept, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Overlap-add windowed frames, each the sum of its kept leading modes.
+def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
+    """Overlap-add Hann-windowed frames, each the sum of its kept leading modes.
 
-    Frame q is window * (modes[0] + ... + modes[kept[q] - 1]) over
-    [q*step, q*step + frame_len), zero past the end of the signal and where
+    Frame q is w * (modes[0] + ... + modes[kept[q] - 1]), w = hann_window(frame_len),
+    over [q*step, q*step + frame_len), zero past the end of the signal and where
     kept[q] is 0.  Each output sample is divided by the window-overlap sum
     P(t) = sum_q w(t - q*step) wherever P(t) > 0, however small; a sample no
     window weight reaches is emitted as 0.  The output has grid.total_len
@@ -218,9 +219,8 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid, window: np.ndarray) ->
         raise ValueError("kept needs one mode count per frame of the grid")
     if kept.dtype.kind not in "iu" or np.any((kept < 0) | (kept > len(modes))):
         raise ValueError(f"kept counts must be integers in 0..{len(modes)}, the leading modes")
-    if len(window) != grid.frame_len:
-        raise ValueError("window length does not match grid.frame_len")
     n, step = grid.frame_len, grid.step
+    window = hann_window(n)
     batch = n // step
     acc = np.zeros(grid.total_len)
     overlap = np.zeros(grid.total_len)
@@ -280,10 +280,16 @@ def read_wav(path) -> Signal:
 
 
 def write_wav(signal: Signal, path) -> None:
-    """Write a Signal as a float32 mono WAV file (lossless round-trip)."""
+    """Write a Signal as a float32 mono WAV file, each sample rounded to
+    float32.  A sample beyond float32's range raises ValueError naming the
+    file, before the file is opened."""
     from scipy.io import wavfile
 
-    wavfile.write(path, signal.sample_rate, signal.samples.astype(np.float32))
+    with np.errstate(over="ignore"):
+        samples = signal.samples.astype(np.float32)
+    if np.isinf(samples).any():
+        raise ValueError(f"samples beyond float32's range for {path}")
+    wavfile.write(path, signal.sample_rate, samples)
 
 
 def resample(signal: Signal, target_rate: int) -> Signal:

@@ -125,6 +125,16 @@ class TestMix:
                                            f"(no noise), got {snr_db}\n")
         assert not out.exists()
 
+    def test_mix_beyond_float32_fails(self, tmp_path, capsys):
+        # at -800 dB the noise gain is 1e40, past float32's range
+        clean_path, noise_path, out = tmp_path / "c.wav", tmp_path / "n.wav", tmp_path / "m.wav"
+        run("synth-noise", "--alpha", 2.0, "--duration", 1.0, "--seed", 2, "--out", clean_path)
+        run("synth-noise", "--alpha", 1.5, "--duration", 1.0, "--seed", 1, "--out", noise_path)
+        assert run("mix", "--clean", clean_path, "--noise", noise_path, "--snr-db", -800,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: samples beyond float32's range for {out}\n"
+        assert not out.exists()
+
     def test_inf_snr_adds_no_noise(self, tmp_path, clean_wav):
         noise_path = tmp_path / "n.wav"
         run("synth-noise", "--alpha", 1.5, "--duration", 0.5, "--seed", 3,
@@ -354,6 +364,16 @@ class TestEnhanceCommand:
             assert len(changed) == 1, (flag, changed)
             set_by_flags += changed
         assert sorted(set_by_flags) == sorted(default)
+
+    @pytest.mark.parametrize("bad", ["out", "profile"])
+    def test_unwritable_output_leaves_neither_file(self, tmp_path, clean_wav, capsys, bad):
+        paths = {"out": tmp_path / "enh.wav", "profile": tmp_path / "prof.csv"}
+        paths[bad] = tmp_path / "nodir" / paths[bad].name
+        assert run("enhance", "--in", clean_wav, "--out", paths["out"],
+                   "--profile", paths["profile"], "--frame", 4096, "--step", 512,
+                   "--ensemble", 1, "--modes", 4) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        assert not any(path.exists() for path in paths.values())
 
     def test_missing_file_fails(self, tmp_path):
         assert run("enhance", "--in", tmp_path / "nope.wav",

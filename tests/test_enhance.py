@@ -11,6 +11,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import hhtalpha
+import hhtalpha.signal as signal_module
 from hhtalpha import (
     EemdConfig,
     EnhanceConfig,
@@ -392,10 +393,10 @@ class TestReconstruct:
     def test_bit_exact_to_frames_matrix(self, monkeypatch, n, frame_len, step, kind):
         if kind == "rectangular":
             # checks the overlap sum apart from the shape of the Hann window
-            monkeypatch.setattr(enhance_module, "hann_window", np.ones)
+            monkeypatch.setattr(signal_module, "hann_window", np.ones)
         rng = np.random.default_rng(n + step)
         grid = frame_grid(n, frame_len, step)
-        win = enhance_module.hann_window(frame_len)
+        win = signal_module.hann_window(frame_len)
         for modes in (0, 1, 4):
             imfs = random_imfs(rng, n, modes)
             cut_lists = [np.zeros(grid.count, int), np.full(grid.count, modes)]

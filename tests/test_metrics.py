@@ -360,16 +360,23 @@ class TestOracle:
                                                         rel=0, abs=1e-12)
 
     def test_hops_that_do_not_divide_the_frame(self):
-        # at 11025 Hz the LLR frame is 353 samples with a hop of 176; a
-        # 256-sample frame with a hop of 100 overlap-adds in three pieces
+        # at 11025 Hz the LLR frame is 353 samples with a hop of 176
         rate = 11025
         clean = Signal(make_speech_proxy(n=2 * rate, rate=rate), rate)
         processed = Signal(mix_at_snr(clean.samples, sample_sas(1.2, len(clean), 19), 0.0), rate)
         assert llr(clean, processed) == pytest.approx(reference_llr(clean, processed)[0],
                                                        rel=0, abs=1e-12)
-        frames = np.random.default_rng(3).standard_normal((40, STOI_FRAME))
-        np.testing.assert_array_equal(_overlap_add(frames, 100),
-                                      reference_overlap_add(frames, 100))
+
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    def test_overlap_add_bytes_match_the_frame_loop(self, count):
+        # signed zeros show whether each sum starts from +0.0, as the loop's does
+        rng = np.random.default_rng(count)
+        frames = rng.standard_normal((count, STOI_FRAME))
+        frames[rng.random(frames.shape) < 0.3] = 0.0
+        frames[rng.random(frames.shape) < 0.3] = -0.0
+        signs = np.signbit(frames[frames == 0.0])
+        assert signs.any() and not signs.all()
+        assert _overlap_add(frames).tobytes() == reference_overlap_add(frames, STOI_HOP).tobytes()
 
     def test_silent_processed_has_no_usable_frames(self, clean):
         with pytest.raises(ValueError, match="no usable frames for LLR"):

@@ -64,6 +64,13 @@ class TestWav:
         write_wav(Signal(np.zeros(0), 16000), path)
         assert len(read_wav(path)) == 0
 
+    def test_sample_beyond_float32_names_the_file(self, tmp_path):
+        # float32 would store 1e39 as inf, a file read_wav rejects
+        path = tmp_path / "big.wav"
+        with pytest.raises(ValueError, match=re.escape(f"beyond float32's range for {path}")):
+            write_wav(Signal([0.5, 1e39], 16000), path)
+        assert not path.exists()
+
     def test_non_finite_names_the_file(self, tmp_path):
         from scipy.io import wavfile
         path = tmp_path / "nan.wav"
@@ -183,49 +190,41 @@ class TestOverlapAdd:
             total[q * grid.step : q * grid.step + grid.frame_len] += win
         assert total[20000] == pytest.approx(40.0, abs=1e-9)
 
-    def test_rectangular_partition_identity(self):
+    def test_rectangular_partition_identity(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "hann_window", np.ones)
         x = np.arange(1024, dtype=float)
         grid = frame_grid(1024, 256, 256)
-        win = np.ones(256)
-        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid, win)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid)
         np.testing.assert_array_equal(rec, x)
 
     def test_cola_identity_constant(self):
         grid = frame_grid(38400, 10240, 128)
-        win = hann_window(10240)
-        rec = overlap_add(np.ones((1, 38400)), np.ones(grid.count, int), grid, win)
+        rec = overlap_add(np.ones((1, 38400)), np.ones(grid.count, int), grid)
         assert np.max(np.abs(rec - 1.0)) < 1e-10
 
     def test_cola_identity_random(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(20000)
         grid = frame_grid(20000, 2048, 256)
-        win = hann_window(2048)
-        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid, win)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid)
         assert np.max(np.abs(rec - x)) < 1e-8
 
     def test_long_frames_cover_the_signal_edges(self):
         # the Hann weight at a 16384-sample frame's first sample is 9.2e-9
         grid = frame_grid(48000, 16384, 128)
-        rec = overlap_add(np.ones((1, 48000)), np.ones(grid.count, int), grid, hann_window(16384))
+        rec = overlap_add(np.ones((1, 48000)), np.ones(grid.count, int), grid)
         np.testing.assert_array_equal(rec, 1.0)
-
-    def test_samples_no_weight_reaches_are_zero(self):
-        grid = frame_grid(16, 8, 8)
-        win = np.array([0.0, 1, 1, 1, 1, 1, 1, 0])
-        rec = overlap_add(np.full((1, 16), 3.0), np.ones(grid.count, int), grid, win)
-        np.testing.assert_array_equal(rec, np.where(np.tile(win, 2) > 0, 3.0, 0.0))
 
     def test_frame_count_mismatch_rejected(self):
         grid = frame_grid(1024, 256, 128)
-        win = hann_window(256)
         with pytest.raises(ValueError):
-            overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid, win)
+            overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid)
 
-    def test_each_frame_sums_its_kept_leading_modes(self):
+    def test_each_frame_sums_its_kept_leading_modes(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "hann_window", np.ones)
         modes = np.array([np.full(12, 1.0), np.full(12, 10.0), np.full(12, 100.0)])
         grid = frame_grid(12, 3, 3)
-        rec = overlap_add(modes, [0, 1, 2, 3], grid, np.ones(3))
+        rec = overlap_add(modes, [0, 1, 2, 3], grid)
         np.testing.assert_array_equal(rec, np.repeat([0.0, 1.0, 11.0, 111.0], 3))
 
     @pytest.mark.parametrize("row", [-1, 2, 1.0])
@@ -235,15 +234,13 @@ class TestOverlapAdd:
         modes = np.ones((1, 16))
         grid = frame_grid(16, 8, 4)
         with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
-            overlap_add(modes, np.full(grid.count, row), grid, hann_window(8))
+            overlap_add(modes, np.full(grid.count, row), grid)
 
     def test_shape_mismatch_rejected(self):
         grid = frame_grid(1024, 256, 128)
         choice = np.zeros(grid.count, int)
         with pytest.raises(ValueError, match=r"\(rows, grid.total_len\) array"):
-            overlap_add(np.zeros((1, 1000)), choice, grid, hann_window(256))
-        with pytest.raises(ValueError, match="window length does not match grid.frame_len"):
-            overlap_add(np.zeros((1, 1024)), choice, grid, hann_window(255))
+            overlap_add(np.zeros((1, 1000)), choice, grid)
 
 
 class TestWindow:
