@@ -13,7 +13,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .emd import EemdConfig, ImfSet, eemd
-from .signal import FrameGrid, Signal, frame_grid, frame_order_stats, overlap_add, whole_number
+from .signal import FrameGrid, Signal, frame_order_stats, overlap_add, whole_number
 from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
 
 # Frames where the quantile estimator degenerates (zero spread, e.g. all-zero
@@ -39,7 +39,7 @@ class EnhanceConfig:
             raise ValueError("threshold_combine must be 'floor' or 'literal_min'")
         # the alpha estimator needs MIN_SAMPLES samples a frame
         object.__setattr__(self, "frame_len", whole_number(self.frame_len, "frame_len", MIN_SAMPLES))
-        object.__setattr__(self, "step", frame_grid(0, self.frame_len, self.step).step)
+        object.__setattr__(self, "step", FrameGrid(self.frame_len, self.step).step)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,6 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
     """
     if imfs.source_len != len(noisy):
         raise ValueError("mode length does not match the noisy signal")
-    if grid.total_len != len(noisy):
-        raise ValueError("frame grid does not match the noisy signal")
 
     ranks, gamma = hazen_ranks(grid.frame_len)
 
@@ -100,7 +98,7 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
 
     sequences = (*imfs.modes, noisy)
     *columns, noisy_alphas = fork_map(lambda i: frame_alphas(sequences[i]), len(sequences))
-    per_mode = np.reshape(columns, (imfs.mode_count, grid.count)).T.copy()
+    per_mode = np.reshape(columns, (imfs.mode_count, len(noisy_alphas))).T.copy()
     return per_mode, noisy_alphas
 
 
@@ -138,7 +136,7 @@ def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
     imfs = eemd(noisy, cfg.eemd)
-    grid = frame_grid(len(noisy), cfg.frame_len, cfg.step)
+    grid = FrameGrid(cfg.frame_len, cfg.step)
     return imfs, grid, apply_selection(*profile_alpha(imfs, noisy.samples, grid), cfg)
 
 

@@ -291,7 +291,10 @@ def stoi(clean: Signal, processed: Signal) -> float:
 
 
 def evaluate(clean: Signal, processed: Signal, which=METRICS) -> MetricReport:
-    """Compute the requested metrics for a clean/processed pair, framing it once."""
+    """Compute the metrics named in the sequence `which` for a clean/processed
+    pair, framing it once."""
+    if isinstance(which, str):
+        raise ValueError(f"which is a sequence of metric names, got the string {which!r}")
     if not which:
         raise ValueError("no metric requested")
     unknown = [name for name in which if name not in METRICS]

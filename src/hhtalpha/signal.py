@@ -63,12 +63,27 @@ def whole_number(value, name: str, minimum: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Overlapping frame layout: frames of `frame_len` samples every `step`."""
+    """Overlapping frame layout: frame q covers [q*step, q*step + frame_len).
+
+    Both sizes are whole numbers with 0 < step <= frame_len; ValueError
+    names the one that is not.
+    """
 
     frame_len: int
     step: int
-    count: int
-    total_len: int
+
+    def __post_init__(self):
+        frame_len, step = whole_number(self.frame_len, "frame_len"), whole_number(self.step, "step")
+        if frame_len <= 0:
+            raise ValueError(f"frame_len must be positive, got {frame_len}")
+        if step <= 0 or step > frame_len:
+            raise ValueError(f"step must satisfy 0 < step <= frame_len = {frame_len}, got {step}")
+        object.__setattr__(self, "frame_len", frame_len)
+        object.__setattr__(self, "step", step)
+
+    def count(self, total_len: int) -> int:
+        """ceil(total_len / step), the fewest frames that cover `total_len` samples."""
+        return math.ceil(total_len / self.step)
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -83,42 +98,22 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * (k + 0.5) / length))
 
 
-def frame_grid(total_len: int, frame_len: int, step: int) -> FrameGrid:
-    """Lay out overlapping frames over a signal of `total_len` samples.
-
-    Frame q covers [q*step, q*step + frame_len); frames running past the end
-    are zero-padded.  The count is the smallest Q with Q*step >= total_len,
-    so every sample is covered by at least one frame.  Sizes are whole numbers.
-    """
-    total_len, frame_len, step = (whole_number(total_len, "total_len"),
-                                  whole_number(frame_len, "frame_len"), whole_number(step, "step"))
-    if frame_len <= 0:
-        raise ValueError(f"frame_len must be positive, got {frame_len}")
-    if step <= 0 or step > frame_len:
-        raise ValueError(f"step must satisfy 0 < step <= frame_len = {frame_len}, got {step}")
-    if total_len < 0:
-        raise ValueError(f"total_len must be non-negative, got {total_len}")
-    count = math.ceil(total_len / step)
-    return FrameGrid(frame_len=frame_len, step=step, count=count, total_len=total_len)
-
-
 def extract_frames(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    """Cut `samples` into the grid's frames as a (count, frame_len) array.
+    """Cut `samples` into the grid's frames as a (frames, frame_len) array.
 
     Positions past the end of the signal are zero.  The result is a
     read-only strided view of one zero-padded copy of `samples`; frames
     share memory, so copy it before writing.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) != grid.total_len:
-        raise ValueError("sample count does not match grid.total_len")
-    padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
-    padded[: grid.total_len] = samples
-    return sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
+    count = grid.count(len(samples))
+    padded = np.zeros(max(count - 1, 0) * grid.step + grid.frame_len)
+    padded[: len(samples)] = samples
+    return sliding_window_view(padded, grid.frame_len)[:: grid.step][:count]
 
 
 def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray:
-    """Order statistics `ranks` of every frame, as a (count, len(ranks)) array.
+    """Order statistics `ranks` of every frame, as a (frames, len(ranks)) array.
 
     Row q equals np.sort(extract_frames(samples, grid)[q])[ranks], computed
     without a frames matrix.  Frame 0 is sorted once.  After it, each block
@@ -129,17 +124,18 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     and the ones that enter after it.  Those positions, sorted per frame,
     turn each rank into one binary search and one lookup in the merged run.
     Dropping the block's leaving samples gives the next block's window.
-    Memory is O(total_len + frame_len) whatever the overlap.  Raises
+    Memory is O(len(samples) + frame_len) whatever the overlap.  Raises
     ValueError for a rank that is not an integer in 0..frame_len-1.
     """
     frames = extract_frames(samples, grid)
+    count = len(frames)
     ranks = np.asarray(ranks)
     n, step = grid.frame_len, grid.step
     if ranks.dtype.kind not in "iu" or np.any((ranks < 0) | (ranks >= n)):
         raise ValueError(f"ranks must lie in 0..{n - 1} as integers, the positions of a sorted frame")
     ranks = ranks.astype(np.intp)
-    out = np.empty((grid.count, len(ranks)))
-    if grid.count == 0:
+    out = np.empty((count, len(ranks)))
+    if count == 0:
         return out
     # a block takes in at most a quarter frame, so it never reaches past the
     # window's samples and its (block x block*step) position rows stay O(frame_len)
@@ -155,8 +151,8 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     offsets[:n] = np.argsort(frames[0], kind="stable")
     np.take(frames[0], offsets[:n], out=values[:n])
     out[0] = values[ranks]
-    for first in range(1, grid.count, block):
-        rows = min(block, grid.count - first)
+    for first in range(1, count, block):
+        rows = min(block, count - first)
         width = rows * step
         m = n + width
         # the block's last frame ends with every sample the block takes in
@@ -203,32 +199,34 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
     over [q*step, q*step + frame_len), zero past the end of the signal and where
     kept[q] is 0.  Each output sample is divided by the window-overlap sum
     P(t) = sum_q w(t - q*step) wherever P(t) > 0, however small; a sample no
-    window weight reaches is emitted as 0.  The output has grid.total_len
-    samples, each summed over its frames in ascending q.
+    window weight reaches is emitted as 0.  The output has one sample per
+    column of `modes`, each summed over its frames in ascending q.
 
     The running mode sums are built for one batch of frame_len // step
     frames at a time, over the fewer than two frame lengths the batch
-    spans, so memory beyond the modes is O(total_len + modes * frame_len).
+    spans, so memory beyond the modes is O(samples + modes * frame_len).
     Raises ValueError unless each kept count is an integer in 0..len(modes).
     """
     modes = np.asarray(modes, dtype=np.float64)
-    if modes.ndim != 2 or modes.shape[1] != grid.total_len:
-        raise ValueError("modes must be a (rows, grid.total_len) array")
+    if modes.ndim != 2:
+        raise ValueError("modes must be a 2-D (rows, samples) array")
+    length = modes.shape[1]
+    count = grid.count(length)
     kept = np.asarray(kept)
-    if kept.shape != (grid.count,):
+    if kept.shape != (count,):
         raise ValueError("kept needs one mode count per frame of the grid")
     if kept.dtype.kind not in "iu" or np.any((kept < 0) | (kept > len(modes))):
         raise ValueError(f"kept counts must be integers in 0..{len(modes)}, the leading modes")
     n, step = grid.frame_len, grid.step
     window = hann_window(n)
     batch = n // step
-    acc = np.zeros(grid.total_len)
-    overlap = np.zeros(grid.total_len)
+    acc = np.zeros(length)
+    overlap = np.zeros(length)
     # row z holds modes 1..z over the batch's columns; row 0 stays zero
-    sums = np.zeros((len(modes) + 1, min((batch - 1) * step + n, grid.total_len)))
-    for first in range(0, grid.count, batch):
-        last = min(first + batch, grid.count)
-        lo, hi = first * step, min((last - 1) * step + n, grid.total_len)
+    sums = np.zeros((len(modes) + 1, min((batch - 1) * step + n, length)))
+    for first in range(0, count, batch):
+        last = min(first + batch, count)
+        lo, hi = first * step, min((last - 1) * step + n, length)
         table = sums[:, : hi - lo]
         # np.cumsum's additions along the modes, one row at a time (numpy's
         # cumsum down strided columns is several times slower).  A column
@@ -243,7 +241,7 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
             w = window[: len(chunk)]
             acc[span] += chunk * w
             overlap[span] += w
-    return np.divide(acc, overlap, out=np.zeros(grid.total_len), where=overlap > 0)
+    return np.divide(acc, overlap, out=np.zeros(length), where=overlap > 0)
 
 
 def read_wav(path) -> Signal:

@@ -10,13 +10,13 @@ import pytest
 
 from hhtalpha import (
     EnhanceConfig,
+    FrameGrid,
     Signal,
     eemd,
     emd,
     enhance,
     estimate_alpha,
     evaluate,
-    frame_grid,
     fwsnrseg,
     llr,
     map_intelligibility,
@@ -102,7 +102,7 @@ def test_05_alpha_trend_reproduction():
     noise = sample_sas(1.3, len(clean), 13)
     noisy = Signal(mix_at_snr(clean, noise, 0.0), RATE)
     imfs = eemd(noisy)
-    grid = frame_grid(len(noisy), 10240, 128)
+    grid = FrameGrid(10240, 128)
     per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
     means = per_mode.mean(axis=0)
     low = means[:3].mean()
@@ -119,8 +119,8 @@ def test_06_pipeline_noop_identity():
     sig = Signal(x, RATE)
     from hhtalpha.emd import EemdConfig
     imfs = eemd(sig, EemdConfig(max_modes=8, ensemble_size=5, master_seed=2))
-    grid = frame_grid(len(sig), 4096, 512)
-    out = reconstruct(imfs, np.full(grid.count, imfs.mode_count), grid)
+    grid = FrameGrid(4096, 512)
+    out = reconstruct(imfs, np.full(grid.count(len(sig)), imfs.mode_count), grid)
     mode_sum = imfs.modes.sum(axis=0)
     err = np.max(np.abs(out - mode_sum)) / np.max(np.abs(mode_sum))
     report(6, err < 1e-6, f"keep-all reconstruction err {err:.2e} (< 1e-6 of peak)")

@@ -15,12 +15,12 @@ import hhtalpha.signal as signal_module
 from hhtalpha import (
     EemdConfig,
     EnhanceConfig,
+    FrameGrid,
     Signal,
     alpha_from_nu,
     analyse,
     eemd,
     enhance,
-    frame_grid,
     profile_alpha,
     reconstruct,
     sample_sas,
@@ -28,7 +28,7 @@ from hhtalpha import (
 from hhtalpha.emd import ImfSet
 from hhtalpha.enhance import apply_selection
 
-from conftest import make_speech_proxy, within
+from conftest import make_speech_proxy, mix_at_snr, within
 
 # the package re-exports the function `enhance`, which shadows the submodule name
 enhance_module = importlib.import_module("hhtalpha.enhance")
@@ -149,7 +149,7 @@ class TestProfileAlpha:
         n = 20480
         mode = sample_sas(1.2, n, 3)
         imfs = ImfSet(mode[np.newaxis], np.zeros(n))
-        grid = frame_grid(n, 10240, 10240)
+        grid = FrameGrid(10240, 10240)
         per_mode, _ = profile_alpha(imfs, mode, grid)
         assert per_mode.shape == (2, 1)
         assert np.all(np.abs(per_mode - 1.2) < 0.1)
@@ -159,7 +159,7 @@ class TestProfileAlpha:
         x = np.zeros(n)
         x[:1024] = np.sin(np.arange(1024.0))
         imfs = ImfSet(x[np.newaxis], np.zeros(n))
-        grid = frame_grid(n, 1024, 1024)
+        grid = FrameGrid(1024, 1024)
         per_mode, _ = profile_alpha(imfs, x, grid)
         # frames 1 and 2 are all-zero
         assert per_mode[1, 0] == 2.0
@@ -167,17 +167,14 @@ class TestProfileAlpha:
 
     def test_length_mismatch_rejected(self):
         imfs = ImfSet(np.zeros((1, 100)), np.zeros(100))
-        grid = frame_grid(100, 50, 50)
         with pytest.raises(ValueError, match="mode length does not match"):
-            profile_alpha(imfs, np.zeros(99), grid)
-        with pytest.raises(ValueError, match="frame grid does not match"):
-            profile_alpha(imfs, np.zeros(100), frame_grid(99, 50, 50))
+            profile_alpha(imfs, np.zeros(99), FrameGrid(50, 50))
 
     def test_alpha_range_invariant(self, noisy_pair):
         _, noisy = noisy_pair
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
-        grid = frame_grid(len(short), 2048, 512)
+        grid = FrameGrid(2048, 512)
         per_mode, noisy_alphas = profile_alpha(imfs, short.samples, grid)
         assert np.all(per_mode >= 0.5) and np.all(per_mode <= 2.0)
         assert np.all(noisy_alphas >= 0.5) and np.all(noisy_alphas <= 2.0)
@@ -193,7 +190,7 @@ class TestProfileAlpha:
         ties[n // 4 : n // 2] = 0.0
         imfs = ImfSet(np.vstack([imfs.modes, ties]), imfs.residual)
         noisy = imfs.total()
-        grid = frame_grid(n, frame_len, step)
+        grid = FrameGrid(frame_len, step)
         got = profile_alpha(imfs, noisy, grid)
         expected = quantile_profile(imfs, noisy, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
@@ -202,7 +199,7 @@ class TestProfileAlpha:
         _, noisy = noisy_pair
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         imfs = eemd(short, FAST_EEMD)
-        grid = frame_grid(len(short), 2048, 64)
+        grid = FrameGrid(2048, 64)
         got = profile_alpha(imfs, short.samples, grid)
         expected = quantile_profile(imfs, short.samples, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
@@ -214,7 +211,7 @@ class TestProfileAlpha:
         n, modes = 16000, 4
         imfs = random_imfs(np.random.default_rng(5), n, modes)
         noisy = imfs.total()
-        grid = frame_grid(n, 2560, 32)
+        grid = FrameGrid(2560, 32)
         tracemalloc.start()
         try:
             profile_alpha(imfs, noisy, grid)
@@ -231,7 +228,7 @@ class TestProfileOnAnyCoreCount:
     @staticmethod
     def sequences():
         imfs = random_imfs(np.random.default_rng(21), 4096, 10)
-        return imfs, imfs.total(), frame_grid(4096, 1024, 128)
+        return imfs, imfs.total(), FrameGrid(1024, 128)
 
     @staticmethod
     def record_pools(monkeypatch, cpus):
@@ -336,9 +333,10 @@ def quantile_profile(imfs, noisy, grid):
     lookup."""
 
     def frame_alphas(x):
-        padded = np.zeros(max(grid.count - 1, 0) * grid.step + grid.frame_len)
-        padded[: grid.total_len] = x
-        frames = sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count]
+        count = grid.count(len(x))
+        padded = np.zeros(max(count - 1, 0) * grid.step + grid.frame_len)
+        padded[: len(x)] = x
+        frames = sliding_window_view(padded, grid.frame_len)[:: grid.step][:count]
         q05, q25, q75, q95 = np.quantile(frames, [0.05, 0.25, 0.75, 0.95], axis=-1,
                                          method="hazen")
         iqr = q75 - q25
@@ -354,8 +352,9 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
     """Reference reconstruction: materialise every windowed frame of the kept
     mode prefix in a (frames x frame_len) matrix, then overlap-add the rows."""
     prefix = np.cumsum(imfs.modes, axis=0)
-    frames = np.zeros((grid.count, grid.frame_len))
-    for q in range(grid.count):
+    count = grid.count(imfs.source_len)
+    frames = np.zeros((count, grid.frame_len))
+    for q in range(count):
         z = int(cut_index[q])
         if z == 0:
             continue
@@ -363,17 +362,17 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
         chunk = prefix[z - 1, start : start + grid.frame_len]
         frames[q, : len(chunk)] = chunk
     frames *= window
-    ext = (grid.count - 1) * grid.step + grid.frame_len if grid.count else 0
+    ext = (count - 1) * grid.step + grid.frame_len if count else 0
     acc = np.zeros(ext)
     overlap = np.zeros(ext)
-    for q in range(grid.count):
+    for q in range(count):
         start = q * grid.step
         acc[start : start + grid.frame_len] += frames[q]
         overlap[start : start + grid.frame_len] += window
     covered = overlap >= 1e-8
     out = np.zeros(ext)
     out[covered] = acc[covered] / overlap[covered]
-    return out[: grid.total_len]
+    return out[: imfs.source_len]
 
 
 def random_imfs(rng, n, modes):
@@ -395,12 +394,12 @@ class TestReconstruct:
             # checks the overlap sum apart from the shape of the Hann window
             monkeypatch.setattr(signal_module, "hann_window", np.ones)
         rng = np.random.default_rng(n + step)
-        grid = frame_grid(n, frame_len, step)
+        grid = FrameGrid(frame_len, step)
         win = signal_module.hann_window(frame_len)
         for modes in (0, 1, 4):
             imfs = random_imfs(rng, n, modes)
-            cut_lists = [np.zeros(grid.count, int), np.full(grid.count, modes)]
-            cut_lists += [rng.integers(0, modes + 1, grid.count) for _ in range(10)]
+            cut_lists = [np.zeros(grid.count(n), int), np.full(grid.count(n), modes)]
+            cut_lists += [rng.integers(0, modes + 1, grid.count(n)) for _ in range(10)]
             for cut in cut_lists:
                 out = reconstruct(imfs, cut, grid)
                 expected = frames_matrix_reconstruct(imfs, cut, grid, win)
@@ -413,8 +412,8 @@ class TestReconstruct:
         n, modes = 16000, 10
         rng = np.random.default_rng(3)
         imfs = random_imfs(rng, n, modes)
-        grid = frame_grid(n, 2048, 16)
-        cut = rng.integers(0, modes + 1, grid.count)
+        grid = FrameGrid(2048, 16)
+        cut = rng.integers(0, modes + 1, grid.count(n))
         tracemalloc.start()
         try:
             reconstruct(imfs, cut, grid)
@@ -430,8 +429,8 @@ class TestReconstruct:
         n, modes = 160_000, 10
         rng = np.random.default_rng(4)
         imfs = random_imfs(rng, n, modes)
-        grid = frame_grid(n, 10240, 128)
-        cut = rng.integers(0, modes + 1, grid.count)
+        grid = FrameGrid(10240, 128)
+        cut = rng.integers(0, modes + 1, grid.count(n))
         tracemalloc.start()
         try:
             reconstruct(imfs, cut, grid)
@@ -444,32 +443,32 @@ class TestReconstruct:
         x = make_speech_proxy(n=n, bursts=((0.05, 0.2), (0.3, 0.15)))
         sig = Signal(x, 16000)
         imfs = eemd(sig, FAST_EEMD)
-        grid = frame_grid(n, 2048, 256)
+        grid = FrameGrid(2048, 256)
         return sig, imfs, grid
 
     def test_keep_all_is_identity_to_mode_sum(self):
         sig, imfs, grid = self._setup()
-        out = reconstruct(imfs, np.full(grid.count, imfs.mode_count), grid)
+        out = reconstruct(imfs, np.full(grid.count(len(sig)), imfs.mode_count), grid)
         mode_sum = imfs.modes.sum(axis=0)
         peak = np.max(np.abs(mode_sum))
         assert np.max(np.abs(out - mode_sum)) < 1e-6 * peak
 
     def test_keep_none_is_silence(self):
         sig, imfs, grid = self._setup()
-        out = reconstruct(imfs, np.zeros(grid.count, dtype=int), grid)
+        out = reconstruct(imfs, np.zeros(grid.count(len(sig)), dtype=int), grid)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_cut_index_outside_mode_count_rejected(self):
         n, modes = 1000, 3
         imfs = random_imfs(np.random.default_rng(1), n, modes)
-        grid = frame_grid(n, 128, 64)
+        grid = FrameGrid(128, 64)
         for bad in (-1, modes + 1):
-            cut = np.full(grid.count, modes)
-            cut[grid.count // 2] = bad
+            cut = np.full(grid.count(n), modes)
+            cut[grid.count(n) // 2] = bad
             with pytest.raises(ValueError, match=r"integers in 0\.\.3"):
                 reconstruct(imfs, cut, grid)
         with pytest.raises(ValueError, match=r"integers in 0\.\.3"):
-            reconstruct(imfs, np.full(grid.count, 1.5), grid)
+            reconstruct(imfs, np.full(grid.count(n), 1.5), grid)
 
     def test_output_length_exact(self):
         sig, imfs, grid = self._setup()
@@ -498,6 +497,20 @@ class TestEnhance:
         _, prof2 = enhance(Signal(noisy.samples * 7.5, 16000), cfg)
         np.testing.assert_array_equal(prof1.cut_index, prof2.cut_index)
 
+    def test_power_of_two_scaling_is_exact(self):
+        # a factor 2**k moves only exponents, so the ensemble noise, every
+        # mode and every order statistic scale exactly and the profile is
+        # unchanged; a factor such as 7.5 rounds, and only the cut survives it
+        x = make_speech_proxy(n=8192, bursts=((0.05, 0.2), (0.3, 0.15)))
+        noisy = mix_at_snr(x, sample_sas(1.2, 8192, 5), 0.0)
+        cfg = small_cfg(eemd=dataclasses.replace(FAST_EEMD, ensemble_size=4))
+        out, prof = enhance(Signal(noisy, 16000), cfg)
+        for k in (-3, 1, 5):
+            scaled_out, scaled = enhance(Signal(noisy * 2.0 ** k, 16000), cfg)
+            assert scaled_out.samples.tobytes() == (out.samples * 2.0 ** k).tobytes(), k
+            for name in ("per_mode", "noisy", "thresholds", "cut_index"):
+                assert getattr(scaled, name).tobytes() == getattr(prof, name).tobytes(), (k, name)
+
     def test_clean_energy_mostly_retained(self):
         x = make_speech_proxy(n=16384, bursts=((0.1, 0.3), (0.55, 0.3)))
         sig = Signal(x, 16000)
@@ -518,15 +531,15 @@ class TestEnhance:
         assert len(out) == len(sig)
         np.testing.assert_array_equal(out.samples, 0.0)
         _, grid, _ = analyse(sig, small_cfg())
-        assert grid == frame_grid(len(sig), small_cfg().frame_len, small_cfg().step)
-        assert grid.count == prof.frame_count
+        assert grid == FrameGrid(small_cfg().frame_len, small_cfg().step)
+        assert grid.count(len(sig)) == prof.frame_count
 
     def test_raising_rho_never_decreases_cut(self):
         x = make_speech_proxy(n=8192, bursts=((0.05, 0.2), (0.3, 0.15)))
         noise = sample_sas(1.2, 8192, 5)
         noisy = Signal(x + noise * np.sqrt(np.mean(x ** 2) / np.mean(noise ** 2)), 16000)
         imfs = eemd(noisy, FAST_EEMD)
-        grid = frame_grid(len(noisy), 2048, 256)
+        grid = FrameGrid(2048, 256)
         per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
         assert np.all(cuts(per_mode, 1.5) >= cuts(per_mode, 1.0))
 

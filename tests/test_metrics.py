@@ -256,6 +256,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="'pesq'"):
             evaluate(clean, clean, which=("stoi", "pesq"))
 
+    def test_bare_string_named_whole(self, clean):
+        # a string is a sequence of letters; "stoi" must not read as 's'
+        with pytest.raises(ValueError, match="sequence of metric names, got the string 'stoi'"):
+            evaluate(clean, clean, which="stoi")
+
     @pytest.mark.parametrize("which", [("llr", "fwsnrseg", "stoi"), ("fwsnrseg", "llr")])
     def test_bit_equal_to_separate_calls(self, clean, which):
         processed = degraded(clean, 0.0, kind="sas")

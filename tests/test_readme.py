@@ -36,7 +36,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(compile(library_example("README.md"), "README.md", "exec"), namespace)
     assert (tmp_path / "enhanced.wav").exists()
     assert len(namespace["enhanced"]) == RATE
-    assert namespace["profile"].cut_index.shape == (namespace["grid"].count,)
+    assert namespace["profile"].cut_index.shape == (namespace["grid"].count(RATE),)
 
 
 def command_lines(doc: str) -> list[str]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import hhtalpha.signal as signal_module
-from hhtalpha import Signal, frame_grid, hann_window, overlap_add, read_wav, resample, write_wav
+from hhtalpha import FrameGrid, Signal, hann_window, overlap_add, read_wav, resample, write_wav
 from hhtalpha.signal import extract_frames, frame_order_stats
 from hhtalpha.stable import alpha_from_nu, hazen_ranks, nu_from_order_stats
 
@@ -141,89 +141,99 @@ class TestWav:
 
 class TestFrameGrid:
     def test_paper_operating_point(self):
-        grid = frame_grid(38400, 10240, 128)
-        assert grid.count == 300
+        assert FrameGrid(10240, 128).count(38400) == 300
 
     def test_single_frame(self):
-        grid = frame_grid(10240, 10240, 10240)
-        assert grid.count == 1
+        assert FrameGrid(10240, 10240).count(10240) == 1
 
     def test_step_above_frame_rejected(self):
         with pytest.raises(ValueError):
-            frame_grid(1000, 100, 200)
+            FrameGrid(100, 200)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError, match="frame_len must be positive"):
-            frame_grid(10, 0, 1)
-        with pytest.raises(ValueError, match="total_len must be non-negative"):
-            frame_grid(-1, 8, 4)
+            FrameGrid(0, 1)
 
     @pytest.mark.parametrize("sizes, message", [
-        ((1000, 200, 50.5), "step must be a whole number, got 50.5"),
-        ((1000, 200.5, 50), "frame_len must be a whole number, got 200.5"),
-        ((1000.5, 200, 50), "total_len must be a whole number, got 1000.5"),
-        ((1000, 200, "50"), "step must be a whole number, got '50'"),
+        ((200, 50.5), "step must be a whole number, got 50.5"),
+        ((200.5, 50), "frame_len must be a whole number, got 200.5"),
+        ((200, "50"), "step must be a whole number, got '50'"),
     ])
     def test_fractional_size_rejected(self, sizes, message):
         with pytest.raises(ValueError, match=message):
-            frame_grid(*sizes)
+            FrameGrid(*sizes)
+
+    @pytest.mark.parametrize("frame_len, step, message", [
+        (256, 0, r"step must satisfy 0 < step <= frame_len = 256, got 0"),
+        (256, 257, r"step must satisfy 0 < step <= frame_len = 256, got 257"),
+        (256, -128, r"step must satisfy 0 < step <= frame_len = 256, got -128"),
+        (-256, 128, "frame_len must be positive, got -256"),
+        (256.5, 128, "frame_len must be a whole number, got 256.5"),
+        (256, 0.5, "step must be a whole number, got 0.5"),
+    ])
+    def test_built_directly_checks_its_sizes(self, frame_len, step, message):
+        # the grid itself owns the size rules: nothing reaches overlap_add
+        # with a step of 0 or a step that leaves samples uncovered
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FrameGrid(frame_len=frame_len, step=step)
 
     def test_whole_sizes_stored_as_int(self):
-        grid = frame_grid(1000.0, np.int64(200), 50.0)
-        assert grid == frame_grid(1000, 200, 50)
-        assert all(type(v) is int for v in (grid.total_len, grid.frame_len, grid.step))
+        grid = FrameGrid(np.int64(200), 50.0)
+        assert grid == FrameGrid(200, 50)
+        assert all(type(v) is int for v in (grid.frame_len, grid.step))
+        assert type(grid.count(1000)) is int
 
     def test_full_coverage(self):
-        grid = frame_grid(1000, 64, 17)
+        grid = FrameGrid(64, 17)
         covered = np.zeros(1000, bool)
-        for q in range(grid.count):
+        for q in range(grid.count(1000)):
             covered[q * grid.step : q * grid.step + grid.frame_len] = True
         assert covered.all()
 
 
 class TestOverlapAdd:
     def test_interior_overlap_sum_is_40(self):
-        grid = frame_grid(38400, 10240, 128)
+        grid = FrameGrid(10240, 128)
         win = hann_window(10240)
-        total = np.zeros((grid.count - 1) * grid.step + grid.frame_len)
-        for q in range(grid.count):
+        total = np.zeros((grid.count(38400) - 1) * grid.step + grid.frame_len)
+        for q in range(grid.count(38400)):
             total[q * grid.step : q * grid.step + grid.frame_len] += win
         assert total[20000] == pytest.approx(40.0, abs=1e-9)
 
     def test_rectangular_partition_identity(self, monkeypatch):
         monkeypatch.setattr(signal_module, "hann_window", np.ones)
         x = np.arange(1024, dtype=float)
-        grid = frame_grid(1024, 256, 256)
-        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid)
+        grid = FrameGrid(256, 256)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count(1024), int), grid)
         np.testing.assert_array_equal(rec, x)
 
     def test_cola_identity_constant(self):
-        grid = frame_grid(38400, 10240, 128)
-        rec = overlap_add(np.ones((1, 38400)), np.ones(grid.count, int), grid)
+        grid = FrameGrid(10240, 128)
+        rec = overlap_add(np.ones((1, 38400)), np.ones(grid.count(38400), int), grid)
         assert np.max(np.abs(rec - 1.0)) < 1e-10
 
     def test_cola_identity_random(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(20000)
-        grid = frame_grid(20000, 2048, 256)
-        rec = overlap_add(x[np.newaxis], np.ones(grid.count, int), grid)
+        grid = FrameGrid(2048, 256)
+        rec = overlap_add(x[np.newaxis], np.ones(grid.count(20000), int), grid)
         assert np.max(np.abs(rec - x)) < 1e-8
 
     def test_long_frames_cover_the_signal_edges(self):
         # the Hann weight at a 16384-sample frame's first sample is 9.2e-9
-        grid = frame_grid(48000, 16384, 128)
-        rec = overlap_add(np.ones((1, 48000)), np.ones(grid.count, int), grid)
+        grid = FrameGrid(16384, 128)
+        rec = overlap_add(np.ones((1, 48000)), np.ones(grid.count(48000), int), grid)
         np.testing.assert_array_equal(rec, 1.0)
 
     def test_frame_count_mismatch_rejected(self):
-        grid = frame_grid(1024, 256, 128)
+        grid = FrameGrid(256, 128)
         with pytest.raises(ValueError):
             overlap_add(np.zeros((1, 1024)), np.zeros(3, int), grid)
 
     def test_each_frame_sums_its_kept_leading_modes(self, monkeypatch):
         monkeypatch.setattr(signal_module, "hann_window", np.ones)
         modes = np.array([np.full(12, 1.0), np.full(12, 10.0), np.full(12, 100.0)])
-        grid = frame_grid(12, 3, 3)
+        grid = FrameGrid(3, 3)
         rec = overlap_add(modes, [0, 1, 2, 3], grid)
         np.testing.assert_array_equal(rec, np.repeat([0.0, 1.0, 11.0, 111.0], 3))
 
@@ -232,15 +242,15 @@ class TestOverlapAdd:
         # a kept count is a row of the running sums: a negative one would wrap
         # round to the sum of all modes
         modes = np.ones((1, 16))
-        grid = frame_grid(16, 8, 4)
+        grid = FrameGrid(8, 4)
         with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
-            overlap_add(modes, np.full(grid.count, row), grid)
+            overlap_add(modes, np.full(grid.count(16), row), grid)
 
     def test_shape_mismatch_rejected(self):
-        grid = frame_grid(1024, 256, 128)
-        choice = np.zeros(grid.count, int)
-        with pytest.raises(ValueError, match=r"\(rows, grid.total_len\) array"):
-            overlap_add(np.zeros((1, 1000)), choice, grid)
+        grid = FrameGrid(256, 128)
+        choice = np.zeros(grid.count(1024), int)
+        with pytest.raises(ValueError, match=r"2-D \(rows, samples\) array"):
+            overlap_add(np.zeros(1024), choice, grid)
 
 
 class TestWindow:
@@ -327,21 +337,21 @@ def test_scipy_modules_load_at_first_use(tmp_path):
 
 
 def test_extract_frames_zero_pads():
-    grid = frame_grid(10, 8, 4)
+    grid = FrameGrid(8, 4)
     frames = extract_frames(np.arange(10.0), grid)
     assert frames.shape == (3, 8)
     np.testing.assert_array_equal(frames[2], [8, 9, 0, 0, 0, 0, 0, 0])
     assert not frames.flags.writeable
-    assert extract_frames(np.zeros(0), frame_grid(0, 8, 4)).shape == (0, 8)
+    assert extract_frames(np.zeros(0), FrameGrid(8, 4)).shape == (0, 8)
     stats = frame_order_stats(np.arange(10.0), grid, np.arange(8))
     np.testing.assert_array_equal(stats[2], [0, 0, 0, 0, 0, 0, 8, 9])
 
 
 def sorted_frames(x, grid):
     """Reference: every zero-padded frame, fully sorted."""
-    padded = np.pad(x, (0, grid.count * grid.step + grid.frame_len))
-    return np.sort(sliding_window_view(padded, grid.frame_len)[:: grid.step][: grid.count],
-                   axis=1)
+    count = grid.count(len(x))
+    padded = np.pad(x, (0, count * grid.step + grid.frame_len))
+    return np.sort(sliding_window_view(padded, grid.frame_len)[:: grid.step][:count], axis=1)
 
 
 def tie_heavy(rng, n):
@@ -368,8 +378,8 @@ def reference_frame_order_stats(samples, grid, ranks):
     `step` that entered."""
     frames = extract_frames(samples, grid)
     ranks = np.asarray(ranks, dtype=np.intp)
-    out = np.empty((grid.count, len(ranks)))
-    if grid.count == 0:
+    out = np.empty((len(frames), len(ranks)))
+    if len(frames) == 0:
         return out
     n, step = grid.frame_len, grid.step
     # frame q drops frames[q - 1, :step] and takes in frames[q, n - step:]
@@ -379,7 +389,7 @@ def reference_frame_order_stats(samples, grid, ranks):
     keep = np.ones(n, dtype=bool)
     window = np.sort(frames[0])
     out[0] = window[ranks]
-    for q in range(1, grid.count):
+    for q in range(1, len(frames)):
         gone = leaving[q - 1]
         # the k-th of several equal leaving values removes the k-th equal slot
         slots = np.searchsorted(window, gone) + offset - np.searchsorted(gone, gone)
@@ -422,10 +432,10 @@ class TestFrameOrderStats:
     def test_equals_sorted_frames(self, n, frame_len, step, source):
         rng = np.random.default_rng(n + step)
         x = tie_heavy(rng, n) if source == "tie_heavy" else rng.standard_cauchy(n)
-        grid = frame_grid(n, frame_len, step)
+        grid = FrameGrid(frame_len, step)
         expected = sorted_frames(x, grid)
         every_rank = frame_order_stats(x, grid, np.arange(frame_len))
-        assert every_rank.shape == (grid.count, frame_len)
+        assert every_rank.shape == (grid.count(n), frame_len)
         np.testing.assert_array_equal(every_rank, expected)
         ranks = [frame_len - 1, 0, 3, 3]
         np.testing.assert_array_equal(frame_order_stats(x, grid, ranks), expected[:, ranks])
@@ -440,7 +450,7 @@ class TestFrameOrderStats:
     @settings(max_examples=150, deadline=None)
     def test_bytes_match_reference(self, layout, source, seed):
         n, frame_len, step, extra = layout
-        grid = frame_grid(n, frame_len, step)
+        grid = FrameGrid(frame_len, step)
         x = SOURCES[source](np.random.default_rng(seed), n)
         hazen, gamma = hazen_ranks(frame_len)
         ranks = np.concatenate((hazen, [0, frame_len - 1], extra)).astype(np.intp)
@@ -460,7 +470,7 @@ class TestFrameOrderStats:
         assert signal_module._index_dtype(np.iinfo(np.int32).max + 1) is np.int64
         monkeypatch.setattr(signal_module, "_index_dtype", lambda bound: np.int64)
         x = np.random.default_rng(4).standard_cauchy(3000)
-        grid = frame_grid(3000, 512, 7)
+        grid = FrameGrid(512, 7)
         ranks = np.arange(512)
         assert (frame_order_stats(x, grid, ranks).tobytes()
                 == reference_frame_order_stats(x, grid, ranks).tobytes())
@@ -468,11 +478,7 @@ class TestFrameOrderStats:
     @pytest.mark.parametrize("rank", [-1, 8, 100, 0.5, 2.0])
     def test_rank_outside_frame_rejected(self, rank):
         with pytest.raises(ValueError, match=r"ranks must lie in 0\.\.7"):
-            frame_order_stats(np.arange(10.0), frame_grid(10, 8, 4), [0, rank])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="total_len"):
-            frame_order_stats(np.zeros(9), frame_grid(10, 8, 4), [0])
+            frame_order_stats(np.arange(10.0), FrameGrid(8, 4), [0, rank])
 
     @pytest.mark.parametrize("step", [1, 7, 2560 // 16, 2560 // 2, 2560])
     def test_memory_independent_of_step(self, step):
@@ -480,7 +486,7 @@ class TestFrameOrderStats:
         # (2560 frames over each sample at step 1) would not fit
         n, frame_len = 16000, 2560
         x = np.random.default_rng(6).standard_cauchy(n)
-        grid = frame_grid(n, frame_len, step)
+        grid = FrameGrid(frame_len, step)
         ranks = hazen_ranks(frame_len)[0]
         tracemalloc.start()
         try:
@@ -488,4 +494,4 @@ class TestFrameOrderStats:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - grid.count * len(ranks) * 8 <= 6 * (n + frame_len) * 8
+        assert peak - grid.count(n) * len(ranks) * 8 <= 6 * (n + frame_len) * 8
