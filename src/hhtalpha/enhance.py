@@ -122,7 +122,7 @@ def apply_selection(per_mode, noisy, cfg: EnhanceConfig) -> AlphaProfile:
 
 
 def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
-    """Overlap-add, frame by frame, the Hann-windowed sum of the kept mode prefix.
+    """Overlap-add the Hann-windowed sum of each frame's kept mode prefix.
 
     Frame q takes modes 1..cut_index[q] (none when the index is 0).  The
     residual trend is never included.  Output length equals the source

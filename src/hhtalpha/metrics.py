@@ -291,10 +291,11 @@ def stoi(clean: Signal, processed: Signal) -> float:
 
 
 def evaluate(clean: Signal, processed: Signal, which=METRICS) -> MetricReport:
-    """Compute the metrics named in the sequence `which` for a clean/processed
+    """Compute the metrics named in the iterable `which` for a clean/processed
     pair, framing it once."""
     if isinstance(which, str):
         raise ValueError(f"which is a sequence of metric names, got the string {which!r}")
+    which = tuple(which)
     if not which:
         raise ValueError("no metric requested")
     unknown = [name for name in which if name not in METRICS]

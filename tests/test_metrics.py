@@ -261,6 +261,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="sequence of metric names, got the string 'stoi'"):
             evaluate(clean, clean, which="stoi")
 
+    def test_one_shot_iterables_read_once(self, clean):
+        # the unknown-name check must not use up what the metrics then read
+        assert evaluate(clean, clean, iter(["llr"])).to_dict() == {"llr": 0.0}
+        report = evaluate(clean, clean, (name for name in ["fwsnrseg", "llr"]))
+        assert report.to_dict() == {"llr": 0.0, "fwsnrseg_db": 35.0}
+
     @pytest.mark.parametrize("which", [("llr", "fwsnrseg", "stoi"), ("fwsnrseg", "llr")])
     def test_bit_equal_to_separate_calls(self, clean, which):
         processed = degraded(clean, 0.0, kind="sas")

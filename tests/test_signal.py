@@ -239,8 +239,8 @@ class TestOverlapAdd:
 
     @pytest.mark.parametrize("row", [-1, 2, 1.0])
     def test_choice_outside_source_rows_rejected(self, row):
-        # a kept count is a row of the running sums: a negative one would wrap
-        # round to the sum of all modes
+        # mode m is kept where kept > m, which would read -1 as no mode and
+        # 1.0 as one mode; a count must be a whole in-range integer instead
         modes = np.ones((1, 16))
         grid = FrameGrid(8, 4)
         with pytest.raises(ValueError, match=r"integers in 0\.\.1"):
@@ -251,6 +251,30 @@ class TestOverlapAdd:
         choice = np.zeros(grid.count(1024), int)
         with pytest.raises(ValueError, match=r"2-D \(rows, samples\) array"):
             overlap_add(np.zeros(1024), choice, grid)
+
+    @pytest.mark.parametrize("frame_len, step", [(4, 4), (8, 4)])
+    def test_empty_signal_gives_empty_output(self, frame_len, step):
+        out = overlap_add(np.zeros((2, 0)), np.zeros(0, int), FrameGrid(frame_len, step))
+        assert out.shape == (0,)
+
+    def test_matmul_copies_a_few_rows_at_a_time(self):
+        # matmul copies the frame indicator's Toeplitz rows into a buffer that
+        # tracemalloc does not see; all 9600 x 1024 of them at once would take
+        # 79 MB, so the peak RSS of a fresh process is checked, in KiB (Linux)
+        grown = int(fresh_python(OVERLAP_ADD_RSS))
+        assert grown < 16 * 1024
+
+
+OVERLAP_ADD_RSS = """
+import resource
+import numpy as np
+from hhtalpha import FrameGrid, overlap_add
+grid = FrameGrid(4096, 4)
+overlap_add(np.ones((2, 4096)), np.full(grid.count(4096), 2), grid)  # loads BLAS
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+overlap_add(np.ones((2, 38400)), np.full(grid.count(38400), 2), grid)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
 
 
 class TestWindow:
