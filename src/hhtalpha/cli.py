@@ -12,7 +12,7 @@ from .enhance import EnhanceConfig, analyse
 from .enhance import enhance as run_enhance
 from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, METRICS, evaluate
 from .emd import EemdConfig, eemd
-from .signal import Signal, read_wav, write_wav
+from .signal import Signal, read_wav, snr_gain, write_wav
 from .stable import sample_sas
 
 # The library's settings are these flags; their defaults are the config defaults.
@@ -71,6 +71,8 @@ def _add_selection_flags(p):
 
 
 def cmd_enhance(args) -> int:
+    if args.profile and os.path.realpath(args.profile) == os.path.realpath(args.outfile):
+        raise ValueError(f"--profile and --out name the same file: {args.outfile}")
     enhanced, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
     write_wav(enhanced, args.outfile)
     if args.profile:
@@ -100,8 +102,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    if not args.snr_db > -np.inf:
-        raise ValueError(f"--snr-db must be a number of dB or inf (no noise), got {args.snr_db}")
+    noise_power = snr_gain(args.snr_db, "--snr-db", 10.0, "inf (no noise)")
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
     for path, sig in ((args.clean, clean), (args.noise, noise)):
@@ -122,7 +123,7 @@ def cmd_mix(args) -> int:
     p_noise = float(np.mean(n ** 2))
     if p_noise == 0.0:
         raise ValueError("noise file is silent")
-    gain = np.sqrt(p_clean / p_noise * 10.0 ** (-args.snr_db / 10.0))
+    gain = np.sqrt(p_clean / p_noise * noise_power)
     write_wav(Signal(clean.samples + gain * n, clean.sample_rate), args.outfile)
     return 0
 

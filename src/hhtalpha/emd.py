@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_sum
-from .signal import Signal, whole_number
+from .signal import Signal, snr_gain, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
 MIN_LENGTH = 16
@@ -29,9 +29,7 @@ class EemdConfig:
     def __post_init__(self):
         for name, minimum in (("max_modes", 1), ("ensemble_size", 1), ("master_seed", 0)):
             object.__setattr__(self, name, whole_number(getattr(self, name), name, minimum))
-        if not self.ensemble_snr_db > -np.inf:
-            raise ValueError(f"ensemble_snr_db must be a number of dB or +inf (no added "
-                             f"noise), got {self.ensemble_snr_db}")
+        snr_gain(self.ensemble_snr_db, "ensemble_snr_db", 20.0, "+inf (no added noise)")
 
 
 @dataclass(frozen=True)
@@ -245,11 +243,8 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     """
     _check_length(signal)
     x = signal.samples
-    std_x = float(np.std(x))
-    if np.isinf(cfg.ensemble_snr_db) or std_x == 0.0:
-        noise_std = 0.0
-    else:
-        noise_std = std_x * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
+    # 0 at +inf dB, as 10 ** -inf is, and on a silent input
+    noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
     if noise_std == 0.0:
         # every trial would be identical; the ensemble degenerates to plain EMD
         return emd(signal, cfg.max_modes)

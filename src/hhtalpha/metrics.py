@@ -170,20 +170,13 @@ def _llr(c_frames: np.ndarray, p_frames: np.ndarray) -> float:
 
 def _triangular_bank(hi: float, freqs: np.ndarray) -> np.ndarray:
     """N_BANDS triangular filters over BAND_LO_HZ..hi, centers on a mel-like log scale."""
-    def mel(f):
-        return 2595.0 * np.log10(1.0 + f / 700.0)
-
-    def imel(m):
-        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-
-    edges = imel(np.linspace(mel(BAND_LO_HZ), mel(hi), N_BANDS + 2))
-    bank = np.zeros((N_BANDS, len(freqs)))
-    for j in range(N_BANDS):
-        f0, f1, f2 = edges[j], edges[j + 1], edges[j + 2]
-        up = (freqs - f0) / max(f1 - f0, _EPS)
-        down = (f2 - freqs) / max(f2 - f1, _EPS)
-        bank[j] = np.clip(np.minimum(up, down), 0.0, 1.0)
-    return bank
+    mel = 2595.0 * np.log10(1.0 + np.array([BAND_LO_HZ, hi]) / 700.0)
+    edges = 700.0 * (10.0 ** (np.linspace(*mel, N_BANDS + 2) / 2595.0) - 1.0)
+    # one row per band: its lower edge, centre and upper edge
+    f0, f1, f2 = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    up = (freqs - f0) / np.maximum(f1 - f0, _EPS)
+    down = (f2 - freqs) / np.maximum(f2 - f1, _EPS)
+    return np.clip(np.minimum(up, down), 0.0, 1.0)
 
 
 def fwsnrseg(clean: Signal, processed: Signal) -> float:
@@ -221,10 +214,7 @@ def _octave_band_matrix() -> np.ndarray:
     centers = STOI_MIN_FREQ * 2.0 ** (np.arange(STOI_BANDS) / 3.0)
     lo = centers / 2.0 ** (1.0 / 6.0)
     hi = centers * 2.0 ** (1.0 / 6.0)
-    mat = np.zeros((STOI_BANDS, len(freqs)))
-    for j in range(STOI_BANDS):
-        mat[j, (freqs >= lo[j]) & (freqs < hi[j])] = 1.0
-    return mat
+    return ((freqs >= lo[:, None]) & (freqs < hi[:, None])).astype(np.float64)
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -239,9 +229,8 @@ def _overlap_add(frames: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
+def _remove_silent_frames(x: np.ndarray, y: np.ndarray, win: np.ndarray):
     n, hop = STOI_FRAME, STOI_HOP
-    win = np.hanning(n + 2)[1:-1]
     xf = sliding_window_view(x, n)[::hop] * win
     yf = sliding_window_view(y, n)[::hop] * win
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
@@ -263,11 +252,11 @@ def stoi(clean: Signal, processed: Signal) -> float:
         raise ValueError("signals shorter than 0.5 s are not supported")
     x = resample(clean, STOI_RATE).samples
     y = resample(processed, STOI_RATE).samples
-    x, y = _remove_silent_frames(x, y)
     n, hop, N = STOI_FRAME, STOI_HOP, STOI_SEG_FRAMES
+    win = np.hanning(n + 2)[1:-1]
+    x, y = _remove_silent_frames(x, y, win)
     if len(x) < n + N * hop:
         raise ValueError("too little active signal for the segment analysis")
-    win = np.hanning(n + 2)[1:-1]
     X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, STOI_NFFT, axis=1)
     Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, STOI_NFFT, axis=1)
     octmat = _octave_band_matrix()

@@ -61,6 +61,18 @@ def whole_number(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def snr_gain(snr_db, name: str, per: float, no_noise: str) -> float:
+    """10 ** (-snr_db / per), the noise gain of an SNR of `snr_db` dB (per is
+    20 for an amplitude, 10 for a power); ValueError naming `name` unless
+    `snr_db` is a number or +inf (`no_noise`, gain 0) whose gain is a float."""
+    if not snr_db > -np.inf:
+        raise ValueError(f"{name} must be a number of dB or {no_noise}, got {snr_db}")
+    try:
+        return 10.0 ** (-float(snr_db) / per)
+    except OverflowError:
+        raise ValueError(f"{name} of {snr_db} dB is too low: its noise gain overflows") from None
+
+
 @dataclass(frozen=True)
 class FrameGrid:
     """Overlapping frame layout: frame q covers [q*step, q*step + frame_len).
@@ -205,8 +217,9 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
     The sum is taken by mode, sum_m modes[m] * W_m / P, where W_m is the window
     mass of the frames that keep mode m: a BLAS matmul of the frame indicator's
     Toeplitz rows by the window cut into step-long blocks, so memory beyond the
-    modes is O(samples + frame_len).  Raises ValueError unless each kept count
-    is an integer in 0..len(modes).
+    modes is O(samples + frame_len).  Time is len(modes) + 1 masses of samples *
+    frame_len / step multiply-adds each, so a step below about 16 is slow.
+    Raises ValueError unless each kept count is an integer in 0..len(modes).
     """
     modes = np.asarray(modes, dtype=np.float64)
     if modes.ndim != 2:

@@ -89,6 +89,17 @@ def within(seconds):
     assert time.monotonic() - start < seconds
 
 
+# Linux carries ru_maxrss across exec, so a fresh interpreter's peak starts at
+# the test run's.  Code that measures its own peak RSS begins with this: it
+# forks before any import, and the child, whose peak starts at this small
+# interpreter's, runs the rest.
+OWN_PEAK = """
+import os, sys
+if pid := os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
 def fresh_python(code: str, *args: str) -> str:
     """Standard output of `code` run with `args` as sys.argv[1:] by a new
     interpreter that imports this package, so no module the test run already

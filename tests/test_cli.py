@@ -125,6 +125,15 @@ class TestMix:
                                            f"(no noise), got {snr_db}\n")
         assert not out.exists()
 
+    def test_snr_whose_gain_overflows_fails(self, tmp_path, clean_wav, capsys):
+        # 10 ** (4000 / 10) is past the largest float
+        out = tmp_path / "mix.wav"
+        assert run("mix", "--clean", clean_wav, "--noise", clean_wav, "--snr-db", -4000,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == ("error: --snr-db of -4000.0 dB is too low: its "
+                                           "noise gain overflows\n")
+        assert not out.exists()
+
     def test_mix_beyond_float32_fails(self, tmp_path, capsys):
         # at -800 dB the noise gain is 1e40, past float32's range
         clean_path, noise_path, out = tmp_path / "c.wav", tmp_path / "n.wav", tmp_path / "m.wav"
@@ -312,6 +321,16 @@ def test_ensemble_snr_nan_or_minus_inf_fails(tmp_path, clean_wav, capsys, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["enhance", "decompose", "alpha"])
+def test_ensemble_snr_whose_gain_overflows_fails(tmp_path, clean_wav, capsys, command):
+    # 10 ** (7000 / 20) is past the largest float
+    out = ("--out-prefix", tmp_path / "p_") if command == "decompose" else ("--out", tmp_path / "o")
+    assert run(command, "--in", clean_wav, *out, "--ensemble-snr", -7000) == 1
+    assert capsys.readouterr().err == ("error: ensemble_snr_db of -7000.0 dB is too low: its "
+                                       "noise gain overflows\n")
+    assert list(tmp_path.iterdir()) == [clean_wav]
+
+
 class TestEnhanceCommand:
     def test_output_shape_and_profile(self, tmp_path, clean_wav):
         out = tmp_path / "enh.wav"
@@ -374,6 +393,16 @@ class TestEnhanceCommand:
                    "--ensemble", 1, "--modes", 4) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
         assert not any(path.exists() for path in paths.values())
+
+    def test_profile_naming_the_output_fails(self, tmp_path, clean_wav, capsys, monkeypatch):
+        # the CSV would overwrite the WAV; a relative spelling of the path is caught too
+        out = tmp_path / "enh.wav"
+        out.write_bytes(b"untouched")
+        monkeypatch.chdir(tmp_path)
+        assert run("enhance", "--in", clean_wav, "--out", out, "--profile", "enh.wav",
+                   "--ensemble", 1, "--modes", 4) == 1
+        assert capsys.readouterr().err == f"error: --profile and --out name the same file: {out}\n"
+        assert out.read_bytes() == b"untouched"
 
     def test_missing_file_fails(self, tmp_path):
         assert run("enhance", "--in", tmp_path / "nope.wav",

@@ -364,6 +364,13 @@ class TestEmd:
         # +inf adds no noise: plain EMD per trial
         EemdConfig(ensemble_snr_db=np.inf)
 
+    @pytest.mark.parametrize("snr_db", [-7000.0, np.float64(-7000.0), -6166])
+    def test_ensemble_snr_whose_gain_overflows_rejected(self, snr_db):
+        # 10 ** (-snr_db / 20) overflows a float below about -6165 dB
+        with pytest.raises(ValueError, match="ensemble_snr_db of .* dB is too low"):
+            EemdConfig(ensemble_snr_db=snr_db)
+        EemdConfig(ensemble_snr_db=-6165)
+
     def test_mode_ordering_zero_crossings(self):
         rng = np.random.default_rng(11)
         imfs = emd(Signal(rng.standard_normal(8192), 1))

@@ -28,7 +28,7 @@ from hhtalpha import (
 from hhtalpha.emd import ImfSet
 from hhtalpha.enhance import apply_selection
 
-from conftest import make_speech_proxy, mix_at_snr, within
+from conftest import OWN_PEAK, fresh_python, make_speech_proxy, mix_at_snr, within
 
 # the package re-exports the function `enhance`, which shadows the submodule name
 enhance_module = importlib.import_module("hhtalpha.enhance")
@@ -555,6 +555,52 @@ class TestEnhance:
         grid = FrameGrid(2048, 256)
         per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
         assert np.all(cuts(per_mode, 1.5) >= cuts(per_mode, 1.0))
+
+
+ENHANCE_RSS = OWN_PEAK + """
+import resource
+import numpy as np
+from hhtalpha import EemdConfig, EnhanceConfig, Signal, enhance
+x = np.load(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+enhance(Signal(x, 16000), EnhanceConfig(eemd=EemdConfig(ensemble_size=2)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestMemoryAgainstLength:
+    """Peak RSS of `enhance` at ensemble 2, per sample the input grows from
+    9.6 s to 38.4 s (a proxy in alpha = 1.5 noise at 0 dB, each length in a
+    fresh interpreter), as a multiple of the modes' 8 * max_modes bytes per
+    sample.  Measured on 2 cores over 10 runs: the parent 1.61-1.62 x and each
+    EEMD worker 3.04-3.47 x, or the parent 3.94-4.34 x with the trials in-process."""
+
+    @pytest.fixture(scope="class")
+    def growth(self, tmp_path_factory):
+        kib = {}
+        for seconds in (9.6, 38.4):
+            n = int(seconds * 16000)
+            clean = make_speech_proxy(n, bursts=tuple((t, 0.3) for t in np.arange(0.2, seconds, 0.6)))
+            path = tmp_path_factory.mktemp("rss") / "noisy.npy"
+            np.save(path, mix_at_snr(clean, sample_sas(1.5, n, 3), 0.0))
+            kib[n] = np.array(fresh_python(ENHANCE_RSS, str(path)).split(), dtype=float)
+        (short, a), (long, b) = kib.items()
+        # ru_maxrss is in KiB on Linux
+        return (b - a) * 1024 / (long - short) / (8 * EemdConfig.max_modes)
+
+    @staticmethod
+    def workers() -> bool:
+        # as many EEMD workers as usable cores, the child's being the test's
+        return len(os.sched_getaffinity(0)) > 1
+
+    def test_parent_peak_grows_by_a_few_modes(self, growth):
+        assert growth[0] < (2.5 if self.workers() else 6.0)
+
+    def test_worker_peak_grows_by_a_few_modes(self, growth):
+        if not self.workers():
+            pytest.skip("one usable core: the trials run in the parent, with no workers")
+        assert growth[1] < 4.5
 
 
 class TestProfileCsv:

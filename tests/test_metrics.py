@@ -7,10 +7,11 @@ from scipy.linalg import toeplitz
 
 import hhtalpha.metrics as metrics_module
 from hhtalpha import Signal, evaluate, fwsnrseg, llr, map_intelligibility, sample_sas, stoi
-from hhtalpha.metrics import (ACTIVE_FLOOR_DB, FRAME_MS, HOP_MS, LPC_ORDER, STOI_CLIP_DB,
-                              LPC_ERR_FLOOR, STOI_DYN_RANGE_DB, STOI_FRAME, STOI_HOP, STOI_MAP_A,
-                              STOI_MAP_B, STOI_NFFT, STOI_RATE, STOI_SEG_FRAMES, _lpc, _octave_band_matrix,
-                              _overlap_add)
+from hhtalpha.metrics import (ACTIVE_FLOOR_DB, BAND_HI_HZ, BAND_LO_HZ, FRAME_MS, HOP_MS,
+                              LPC_ORDER, N_BANDS, STOI_BANDS, STOI_CLIP_DB, LPC_ERR_FLOOR,
+                              STOI_DYN_RANGE_DB, STOI_FRAME, STOI_HOP, STOI_MAP_A, STOI_MAP_B,
+                              STOI_MIN_FREQ, STOI_NFFT, STOI_RATE, STOI_SEG_FRAMES, _lpc,
+                              _octave_band_matrix, _overlap_add, _triangular_bank)
 from hhtalpha.signal import resample
 
 from conftest import make_speech_proxy, mix_at_snr
@@ -106,6 +107,36 @@ def reference_overlap_add(frames, hop):
     return out
 
 
+def reference_triangular_bank(hi, freqs):
+    """The per-band loop, the oracle for `_triangular_bank`."""
+    def mel(f):
+        return 2595.0 * np.log10(1.0 + f / 700.0)
+
+    def imel(m):
+        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+
+    edges = imel(np.linspace(mel(BAND_LO_HZ), mel(hi), N_BANDS + 2))
+    bank = np.zeros((N_BANDS, len(freqs)))
+    for j in range(N_BANDS):
+        f0, f1, f2 = edges[j], edges[j + 1], edges[j + 2]
+        up = (freqs - f0) / max(f1 - f0, 1e-15)
+        down = (f2 - freqs) / max(f2 - f1, 1e-15)
+        bank[j] = np.clip(np.minimum(up, down), 0.0, 1.0)
+    return bank
+
+
+def reference_octave_band_matrix():
+    """The per-band loop, the oracle for `_octave_band_matrix`."""
+    freqs = np.fft.rfftfreq(STOI_NFFT, 1.0 / STOI_RATE)
+    centers = STOI_MIN_FREQ * 2.0 ** (np.arange(STOI_BANDS) / 3.0)
+    lo = centers / 2.0 ** (1.0 / 6.0)
+    hi = centers * 2.0 ** (1.0 / 6.0)
+    mat = np.zeros((STOI_BANDS, len(freqs)))
+    for j in range(STOI_BANDS):
+        mat[j, (freqs >= lo[j]) & (freqs < hi[j])] = 1.0
+    return mat
+
+
 def reference_stoi(clean, processed):
     """The per-frame overlap-add and per-segment correlation loops, the
     oracle for `stoi`."""
@@ -121,7 +152,7 @@ def reference_stoi(clean, processed):
     y = reference_overlap_add(yf[keep], hop)
     X = np.fft.rfft(sliding_window_view(x, n)[::hop] * win, STOI_NFFT, axis=1)
     Y = np.fft.rfft(sliding_window_view(y, n)[::hop] * win, STOI_NFFT, axis=1)
-    octmat = _octave_band_matrix()
+    octmat = reference_octave_band_matrix()
     Xb = np.sqrt(octmat @ (np.abs(X) ** 2).T)
     Yb = np.sqrt(octmat @ (np.abs(Y) ** 2).T)
     N = STOI_SEG_FRAMES
@@ -182,6 +213,34 @@ class TestFwsnrseg:
         assert fwsnrseg(silent, clean) == 0.0
         with pytest.raises(ValueError, match="shorter than one"):
             fwsnrseg(Signal(np.zeros(100), RATE), Signal(np.zeros(100), RATE))
+
+
+class TestBandTables:
+    @pytest.mark.parametrize("rate", [8000, 12345, 16000, 22050, 44100, 48000])
+    def test_triangular_bank_equals_loop(self, rate):
+        freqs = np.fft.rfftfreq(int(round(FRAME_MS * rate / 1000.0)), 1.0 / rate)
+        hi = min(BAND_HI_HZ, rate / 2.0)
+        bank = _triangular_bank(hi, freqs)
+        expected = reference_triangular_bank(hi, freqs)
+        assert bank.shape == expected.shape == (N_BANDS, len(freqs))
+        assert bank.tobytes() == expected.tobytes()
+        assert np.all((bank >= 0.0) & (bank <= 1.0))
+
+    def test_octave_band_matrix_equals_loop(self):
+        mat = _octave_band_matrix()
+        expected = reference_octave_band_matrix()
+        assert mat.dtype == expected.dtype and mat.shape == expected.shape
+        assert mat.tobytes() == expected.tobytes()
+
+    def test_octave_bands_are_disjoint_third_octaves(self):
+        mat = _octave_band_matrix()
+        assert np.all((mat == 0.0) | (mat == 1.0))
+        assert np.all(mat.sum(axis=0) <= 1.0)
+        freqs = np.fft.rfftfreq(STOI_NFFT, 1.0 / STOI_RATE)
+        for j, band in enumerate(mat):
+            # centre 150 Hz * 2^(j/3), edges a sixth of an octave either side
+            lo, hi = (STOI_MIN_FREQ * 2.0 ** ((2 * j + side) / 6.0) for side in (-1, 1))
+            np.testing.assert_array_equal(band == 1.0, (freqs >= lo) & (freqs < hi))
 
 
 class TestStoi:

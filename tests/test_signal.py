@@ -13,7 +13,7 @@ from hhtalpha import FrameGrid, Signal, hann_window, overlap_add, read_wav, resa
 from hhtalpha.signal import extract_frames, frame_order_stats
 from hhtalpha.stable import alpha_from_nu, hazen_ranks, nu_from_order_stats
 
-from conftest import fresh_python
+from conftest import OWN_PEAK, fresh_python
 
 
 def test_signal_rejects_nan():
@@ -265,7 +265,7 @@ class TestOverlapAdd:
         assert grown < 16 * 1024
 
 
-OVERLAP_ADD_RSS = """
+OVERLAP_ADD_RSS = OWN_PEAK + """
 import resource
 import numpy as np
 from hhtalpha import FrameGrid, overlap_add
