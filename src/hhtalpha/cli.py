@@ -145,7 +145,7 @@ def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
 def cmd_synth_noise(args) -> int:
     if args.rate <= 0:
         raise ValueError(f"--rate must be a positive whole number of Hz, got {args.rate}")
-    if not np.isfinite(args.duration):
+    if not np.isfinite(args.duration * args.rate):
         raise ValueError(f"--duration must be a finite number of seconds, got {args.duration}")
     n = int(round(args.duration * args.rate))
     if n < 1:

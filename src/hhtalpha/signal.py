@@ -215,10 +215,11 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
     column of `modes`.
 
     The sum is taken by mode, sum_m modes[m] * W_m / P, where W_m is the window
-    mass of the frames that keep mode m: a BLAS matmul of the frame indicator's
-    Toeplitz rows by the window cut into step-long blocks, so memory beyond the
-    modes is O(samples + frame_len).  Time is len(modes) + 1 masses of samples *
-    frame_len / step multiply-adds each, so a step below about 16 is slow.
+    mass of the frames that keep mode m.  Frames add their window once each into
+    one running mass, by descending kept count, so the mass passes through every
+    W_m on its way to P.  Memory beyond the modes is that mass and one
+    accumulator, O(samples + frame_len).  Time is frames * frame_len adds plus
+    len(modes) * samples multiply-adds, at any step, and no BLAS call is made.
     Raises ValueError unless each kept count is an integer in 0..len(modes).
     """
     modes = np.asarray(modes, dtype=np.float64)
@@ -231,27 +232,18 @@ def overlap_add(modes: np.ndarray, kept, grid: FrameGrid) -> np.ndarray:
         raise ValueError("kept needs one mode count per frame of the grid")
     if kept.dtype.kind not in "iu" or np.any((kept < 0) | (kept > len(modes))):
         raise ValueError(f"kept counts must be integers in 0..{len(modes)}, the leading modes")
-    step = grid.step
-    k = math.ceil(grid.frame_len / step)
-    blocks = np.zeros((k, step))
-    blocks.flat[: grid.frame_len] = hann_window(grid.frame_len)
-
-    def mass(frames):
-        # output block b sums block j of the window over frames b - j: k - 1
-        # zeros lead the frames, and one trails them for a signal with none
-        padded = np.zeros(count + k)
-        padded[k - 1 : k - 1 + count] = frames
-        rows = sliding_window_view(padded, k)[:count, ::-1]
-        out = np.empty((count, step))
-        # matmul copies the rows it is given, so hand it step rows at a time
-        for first in range(0, count, step):
-            np.matmul(rows[first : first + step], blocks, out=out[first : first + step])
-        return out.ravel()[:length]
-
-    overlap = mass(np.ones(count))
+    step, n = grid.step, grid.frame_len
+    w = hann_window(n)
+    # frames go in by descending kept count: once those keeping m or more
+    # modes are in, `mass` is W_(m-1), and once all are in it is P
+    mass = np.zeros(max(count - 1, 0) * step + n)
     acc = np.zeros(length)
-    for m in range(len(modes)):
-        acc += modes[m] * mass(kept > m)
+    for m in range(len(modes), -1, -1):
+        for q in np.flatnonzero(kept == m):
+            mass[q * step : q * step + n] += w
+        if m:
+            acc += modes[m - 1] * mass[:length]
+    overlap = mass[:length]
     return np.divide(acc, overlap, out=np.zeros(length), where=overlap > 0)
 
 

@@ -59,12 +59,13 @@ class TestSynthNoise:
                                            f"of Hz, got {rate}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    # 1e305 s is finite, but its sample count at 16 kHz is not
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e305"])
     def test_non_finite_duration_fails(self, tmp_path, capsys, duration):
         out = tmp_path / "x.wav"
         assert run("synth-noise", "--alpha", 1.5, f"--duration={duration}", "--out", out) == 1
         assert capsys.readouterr().err == (f"error: --duration must be a finite number of "
-                                           f"seconds, got {duration}\n")
+                                           f"seconds, got {float(duration)}\n")
         assert not out.exists()
 
 

@@ -383,8 +383,9 @@ def random_imfs(rng, n, modes):
 class TestReconstruct:
     # (length, frame_len, step): steps that do and do not divide the frame,
     # step == frame_len, count * step past the end, a signal shorter than a
-    # frame
-    GRIDS = [(1000, 128, 48), (777, 100, 100), (2048, 256, 64), (50, 128, 48), (1031, 200, 7)]
+    # frame, and steps of 1, 2 and 3, where every sample sits in many frames
+    GRIDS = [(1000, 128, 48), (777, 100, 100), (2048, 256, 64), (50, 128, 48), (1031, 200, 7),
+             (300, 64, 1), (257, 16, 2), (1000, 100, 3)]
 
     @staticmethod
     def oracle_cases(monkeypatch, n, frame_len, step, kind):

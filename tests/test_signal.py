@@ -257,10 +257,11 @@ class TestOverlapAdd:
         out = overlap_add(np.zeros((2, 0)), np.zeros(0, int), FrameGrid(frame_len, step))
         assert out.shape == (0,)
 
-    def test_matmul_copies_a_few_rows_at_a_time(self):
-        # matmul copies the frame indicator's Toeplitz rows into a buffer that
-        # tracemalloc does not see; all 9600 x 1024 of them at once would take
-        # 79 MB, so the peak RSS of a fresh process is checked, in KiB (Linux)
+    def test_small_step_memory_is_a_few_frames(self):
+        # at step 4 each sample sits in 1024 frames: a matmul's copy of the
+        # frame indicator's Toeplitz rows would take 9600 x 1024 values (79 MB)
+        # and a frames matrix 9600 x 4096, in buffers that tracemalloc does not
+        # see, so the peak RSS of a fresh process is checked, in KiB (Linux)
         grown = int(fresh_python(OVERLAP_ADD_RSS))
         assert grown < 16 * 1024
 
@@ -270,7 +271,8 @@ import resource
 import numpy as np
 from hhtalpha import FrameGrid, overlap_add
 grid = FrameGrid(4096, 4)
-overlap_add(np.ones((2, 4096)), np.full(grid.count(4096), 2), grid)  # loads BLAS
+# a first call keeps one-time costs out of the measured growth
+overlap_add(np.ones((2, 4096)), np.full(grid.count(4096), 2), grid)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 overlap_add(np.ones((2, 38400)), np.full(grid.count(38400), 2), grid)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
