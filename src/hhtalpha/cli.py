@@ -12,7 +12,7 @@ from .enhance import EnhanceConfig, analyse
 from .enhance import enhance as run_enhance
 from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, METRICS, evaluate
 from .emd import EemdConfig, eemd
-from .signal import Signal, read_wav, snr_gain, write_wav
+from .signal import Signal, read_wav, snr_gain, whole_number, write_wav
 from .stable import sample_sas
 
 # The library's settings are these flags; their defaults are the config defaults.
@@ -70,7 +70,7 @@ def _add_selection_flags(p):
                    help="threshold combination (default %(default)s)")
 
 
-def cmd_enhance(args) -> int:
+def cmd_enhance(args) -> None:
     if args.profile and os.path.realpath(args.profile) == os.path.realpath(args.outfile):
         raise ValueError(f"--profile and --out name the same file: {args.outfile}")
     enhanced, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
@@ -82,26 +82,23 @@ def cmd_enhance(args) -> int:
             # a failed command leaves no output behind
             os.remove(args.outfile)
             raise
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     signal = read_wav(args.infile)
     imfs = eemd(signal, _eemd_config(args))
     for m, mode in enumerate(imfs.modes, start=1):
         write_wav(Signal(mode, signal.sample_rate), f"{args.out_prefix}IMF_{m:02d}.wav")
     write_wav(Signal(imfs.residual, signal.sample_rate), f"{args.out_prefix}residual.wav")
     print(f"wrote {imfs.mode_count} modes + residual with prefix {args.out_prefix}")
-    return 0
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(args) -> None:
     *_, profile = analyse(read_wav(args.infile), _enhance_config(args))
     profile.write_csv(args.outfile)
-    return 0
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args) -> None:
     noise_power = snr_gain(args.snr_db, "--snr-db", 10.0, "inf (no noise)")
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
@@ -125,7 +122,6 @@ def cmd_mix(args) -> int:
         raise ValueError("noise file is silent")
     gain = np.sqrt(p_clean / p_noise * noise_power)
     write_wav(Signal(clean.samples + gain * n, clean.sample_rate), args.outfile)
-    return 0
 
 
 def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
@@ -142,10 +138,10 @@ def _active_mask(x: np.ndarray, rate: int) -> np.ndarray:
     return mask
 
 
-def cmd_synth_noise(args) -> int:
+def cmd_synth_noise(args) -> None:
     if args.rate <= 0:
         raise ValueError(f"--rate must be a positive whole number of Hz, got {args.rate}")
-    if not np.isfinite(args.duration * args.rate):
+    if not np.isfinite(args.duration * whole_number(args.rate, "--rate")):
         raise ValueError(f"--duration must be a finite number of seconds, got {args.duration}")
     n = int(round(args.duration * args.rate))
     if n < 1:
@@ -155,16 +151,14 @@ def cmd_synth_noise(args) -> int:
     if peak > 0:
         samples = samples / peak * 0.5
     write_wav(Signal(samples, args.rate), args.outfile)
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     clean = read_wav(args.clean)
     processed = read_wav(args.processed)
     which = [m.strip() for m in args.metrics.split(",") if m.strip()]
     report = evaluate(clean, processed, which)
     print(report.to_json())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,53 +169,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+    def command(name: str, func, **kwargs) -> argparse.ArgumentParser:
         # an abbreviated flag would silently set whichever flag it prefixes
-        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = command("enhance", help="enhance a noisy mono WAV file")
+    p = command("enhance", cmd_enhance, help="enhance a noisy mono WAV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_selection_flags(p)
     p.add_argument("--profile", help="optional CSV path for the per-frame alpha profile")
     _add_eemd_flags(p)
-    p.set_defaults(func=cmd_enhance)
 
-    p = command("decompose", help="write the modes and residual of a WAV file")
+    p = command("decompose", cmd_decompose, help="write the modes and residual of a WAV file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-prefix", required=True)
     _add_eemd_flags(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = command("alpha", help="dump the per-frame alpha profile as CSV")
+    p = command("alpha", cmd_alpha, help="dump the per-frame alpha profile as CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_selection_flags(p)
     _add_eemd_flags(p)
-    p.set_defaults(func=cmd_alpha)
 
-    p = command("mix", help="mix clean speech with noise at a target SNR")
+    p = command("mix", cmd_mix, help="mix clean speech with noise at a target SNR")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_mix)
 
-    p = command("synth-noise", help="generate impulsive alpha-stable noise")
+    p = command("synth-noise", cmd_synth_noise, help="generate impulsive alpha-stable noise")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--rate", type=int, default=16000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=cmd_synth_noise)
 
-    p = command("eval", help="objective metrics for a clean/processed pair")
+    p = command("eval", cmd_eval, help="objective metrics for a clean/processed pair")
     p.add_argument("--clean", required=True)
     p.add_argument("--processed", required=True)
     p.add_argument("--metrics", default=",".join(METRICS),
                    help=f"comma-separated subset of {','.join(METRICS)}")
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -230,10 +220,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

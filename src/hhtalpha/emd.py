@@ -11,9 +11,9 @@ from .signal import Signal, snr_gain, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
 MIN_LENGTH = 16
-# Sifting stops once SD (Huang et al. 1998) falls below SIFT_SD_THRESHOLD, or
-# after MAX_SIFT_ITERS passes; envelopes mirror BOUNDARY_PAD_EXTREMA extrema
-# beyond each end of the signal.
+# Sifting stops once the ratio of sums sum((h_prev - h)**2) / sum(h_prev**2)
+# falls below SIFT_SD_THRESHOLD, or after MAX_SIFT_ITERS passes; envelopes
+# mirror BOUNDARY_PAD_EXTREMA extrema beyond each end of the signal.
 SIFT_SD_THRESHOLD = 0.2
 MAX_SIFT_ITERS = 100
 BOUNDARY_PAD_EXTREMA = 2
@@ -200,9 +200,12 @@ def sift(x: np.ndarray) -> np.ndarray | None:
     return h
 
 
-def _check_length(signal: Signal) -> None:
+def _check_size(signal: Signal, max_modes: int) -> None:
     if len(signal) < MIN_LENGTH:
         raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
+    # numpy and mmap count an array's bytes in a signed machine word
+    if 8 * max_modes * len(signal) > np.iinfo(np.intp).max:
+        raise ValueError(f"max_modes of {max_modes} is too many to hold at {len(signal)} samples")
 
 
 def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
@@ -213,7 +216,7 @@ def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     modes plus the residual reproduces the input to round-off.
     """
     max_modes = whole_number(max_modes, "max_modes", 1)
-    _check_length(signal)
+    _check_size(signal, max_modes)
     residual = signal.samples.copy()
     modes = np.empty((max_modes, len(residual)))
     count = 0
@@ -241,10 +244,11 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     the output is bit-identical either way.  The averaged modes are that sum,
     divided in place: the caller holds no second copy of them.
     """
-    _check_length(signal)
+    _check_size(signal, cfg.max_modes)
     x = signal.samples
-    # 0 at +inf dB, as 10 ** -inf is, and on a silent input
-    noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
+    # 0 at +inf dB (no added noise) and on a silent input
+    gain = snr_gain(cfg.ensemble_snr_db, "ensemble_snr_db", 20.0, "+inf (no added noise)")
+    noise_std = float(np.std(x)) * gain
     if noise_std == 0.0:
         # every trial would be identical; the ensemble degenerates to plain EMD
         return emd(signal, cfg.max_modes)

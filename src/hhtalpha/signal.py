@@ -53,9 +53,13 @@ class Signal:
 
 def whole_number(value, name: str, minimum: int | None = None) -> int:
     """`value` as an int; ValueError naming `name` unless it is a whole number
-    (16000.0 and numpy integers pass) of at least `minimum`, when one is given."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    (16000.0 and numpy integers pass) within float range and of at least
+    `minimum`, when one is given."""
+    try:
+        if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+    except OverflowError:
+        raise ValueError(f"{name} must lie within float range, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)

@@ -332,6 +332,32 @@ def test_ensemble_snr_whose_gain_overflows_fails(tmp_path, clean_wav, capsys, co
     assert list(tmp_path.iterdir()) == [clean_wav]
 
 
+BIG = 10 ** 400  # past the largest float
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("enhance", "--frame", BIG, f"frame_len must lie within float range, got {BIG}"),
+    ("enhance", "--step", BIG, f"step must lie within float range, got {BIG}"),
+    ("enhance", "--seed", BIG, f"master_seed must lie within float range, got {BIG}"),
+    ("enhance", "--modes", BIG, f"max_modes must lie within float range, got {BIG}"),
+    ("synth-noise", "--rate", BIG, f"--rate must lie within float range, got {BIG}"),
+    # a float, but its modes would count more bytes than a signed 64-bit size holds
+    ("enhance", "--modes", 10 ** 19,
+     "max_modes of 10000000000000000000 is too many to hold at 16384 samples"),
+    ("decompose", "--modes", 10 ** 19,
+     "max_modes of 10000000000000000000 is too many to hold at 16384 samples"),
+], ids=["enhance-frame", "enhance-step", "enhance-seed", "enhance-modes", "synth-noise-rate",
+        "enhance-modes-1e19", "decompose-modes-1e19"])
+def test_integer_too_large_fails(tmp_path, clean_wav, capsys, command, flag, value, message):
+    out = tmp_path / "o"
+    args = {"enhance": ("enhance", "--in", clean_wav, "--out", out, "--ensemble", 1),
+            "decompose": ("decompose", "--in", clean_wav, "--out-prefix", out, "--ensemble", 1),
+            "synth-noise": ("synth-noise", "--alpha", 1.5, "--duration", 1, "--out", out)}
+    assert run(*args[command], flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [clean_wav]
+
+
 class TestEnhanceCommand:
     def test_output_shape_and_profile(self, tmp_path, clean_wav):
         out = tmp_path / "enh.wav"

@@ -63,6 +63,8 @@ def test_frame_shorter_than_estimator_minimum_rejected():
     ("frame_len", np.nan, "frame_len must be a whole number, got nan"),
     ("step", 128.5, "step must be a whole number, got 128.5"),
     ("step", "128", "step must be a whole number, got '128'"),
+    pytest.param("frame_len", 10 ** 400, f"frame_len must lie within float range, got {10 ** 400}",
+                 id="frame_len-beyond-float-range"),
 ])
 def test_setting_out_of_range_rejected(setting, value, message):
     with pytest.raises(ValueError, match=message):
