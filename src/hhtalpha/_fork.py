@@ -49,15 +49,19 @@ def fork_map(fn, count: int) -> list:
         return list(pool.map(_worker_call, range(count)))
 
 
-def fork_sum(fn, count: int, shape: tuple) -> tuple:
-    """(total, rows): the zero float64 `shape` array with each fn(i), a
-    (rows[i], shape[1]) array, added into its leading rows in index order.
+def shared_zeros(shape: tuple) -> np.ndarray:
+    """A zero float64 `shape` array in anonymous shared memory: mapped before
+    a fork, it is the same memory in every worker."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
+def fork_sum(fn, count: int, total: np.ndarray) -> list:
+    """rows: each fn(i), a (rows[i], total.shape[1]) array, added into the
+    leading rows of `total`, a `shared_zeros` array, in index order.
 
     The calls run through `fork_map`; each adds its result once a shared turn
     reaches its index, so the bytes never depend on which process made it.
     """
-    # anonymous shared memory, mapped before any fork, so the workers' sums land here
-    total = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
     context = FORK or multiprocessing.get_context()  # shared across fork_map's forks
     turn, cond = context.Value("q", 0, lock=False), context.Condition()
     held = None
@@ -74,7 +78,7 @@ def fork_sum(fn, count: int, shape: tuple) -> tuple:
             # than any result and freed at once, lets the heap serve them:
             # the EEMD workers of a 9.6 s, ensemble-5 enhance on 2 cores
             # fault about 18 000 pages with it and 43 000 without.
-            np.empty((shape[0] + 1, shape[1]))
+            np.empty((total.shape[0] + 1, total.shape[1]))
         part = total[:0]  # no rows, unless fn returns
         try:
             part = fn(i)
@@ -95,4 +99,4 @@ def fork_sum(fn, count: int, shape: tuple) -> tuple:
         held = part
         return len(part)
 
-    return total, fork_map(add, count)
+    return fork_map(add, count)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .enhance import EnhanceConfig, analyse
+from .enhance import EnhanceConfig
 from .enhance import enhance as run_enhance
 from .metrics import ACTIVE_FLOOR_DB, FRAME_MS, METRICS, evaluate
 from .emd import EemdConfig, eemd
@@ -94,7 +94,7 @@ def cmd_decompose(args) -> None:
 
 
 def cmd_alpha(args) -> None:
-    *_, profile = analyse(read_wav(args.infile), _enhance_config(args))
+    _, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
     profile.write_csv(args.outfile)
 
 
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

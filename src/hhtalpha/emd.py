@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_sum
+from ._fork import fork_sum, shared_zeros
 from .signal import Signal, snr_gain, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
@@ -200,12 +200,16 @@ def sift(x: np.ndarray) -> np.ndarray | None:
     return h
 
 
+def _too_many(max_modes: int, length: int) -> ValueError:
+    return ValueError(f"max_modes of {max_modes} is too many to hold at {length} samples")
+
+
 def _check_size(signal: Signal, max_modes: int) -> None:
     if len(signal) < MIN_LENGTH:
         raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
     # numpy and mmap count an array's bytes in a signed machine word
     if 8 * max_modes * len(signal) > np.iinfo(np.intp).max:
-        raise ValueError(f"max_modes of {max_modes} is too many to hold at {len(signal)} samples")
+        raise _too_many(max_modes, len(signal))
 
 
 def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
@@ -218,7 +222,10 @@ def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     max_modes = whole_number(max_modes, "max_modes", 1)
     _check_size(signal, max_modes)
     residual = signal.samples.copy()
-    modes = np.empty((max_modes, len(residual)))
+    try:
+        modes = np.empty((max_modes, len(residual)))
+    except MemoryError as exc:
+        raise _too_many(max_modes, len(residual)) from exc
     count = 0
     while count < max_modes:
         imf = sift(residual)
@@ -261,7 +268,11 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     # loaded before the fork, or every worker would import LAPACK for its first spline
     import scipy.linalg.lapack  # noqa: F401
 
-    acc, rows = fork_sum(trial, cfg.ensemble_size, (cfg.max_modes, len(x)))
+    try:
+        acc = shared_zeros((cfg.max_modes, len(x)))
+    except OSError as exc:  # mmap refuses a mapping with ENOMEM
+        raise _too_many(cfg.max_modes, len(x)) from exc
+    rows = fork_sum(trial, cfg.ensemble_size, acc)
     modes = acc[: max(rows)]
     residual = x - modes.sum(axis=0) / cfg.ensemble_size
     modes /= cfg.ensemble_size

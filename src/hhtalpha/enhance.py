@@ -131,16 +131,12 @@ def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
     return overlap_add(imfs.modes, cut_index, grid)
 
 
-def analyse(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
-    """Decompose, profile and select; returns (ImfSet, FrameGrid, AlphaProfile)."""
+def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
+    """Decompose, profile, select and reconstruct; returns (enhanced signal,
+    AlphaProfile)."""
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
     imfs = eemd(noisy, cfg.eemd)
     grid = FrameGrid(cfg.frame_len, cfg.step)
-    return imfs, grid, apply_selection(*profile_alpha(imfs, noisy.samples, grid), cfg)
-
-
-def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
-    """Full pipeline; returns (enhanced signal, AlphaProfile)."""
-    imfs, grid, profile = analyse(noisy, cfg)
+    profile = apply_selection(*profile_alpha(imfs, noisy.samples, grid), cfg)
     return Signal(reconstruct(imfs, profile.cut_index, grid), noisy.sample_rate), profile

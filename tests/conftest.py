@@ -15,6 +15,10 @@ from scipy.signal import butter, lfilter
 import hhtalpha
 from hhtalpha import Signal, sample_sas
 
+# The tests share the bench's seeded inputs; the bench itself never imports pytest.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from bench.inputs import mix_at_snr  # noqa: E402
+
 RATE = 16000
 
 # CI runs replay the same examples, and a failure prints the blob that
@@ -47,14 +51,6 @@ def make_speech_proxy(n=38400, rate=RATE, seed=5,
     b, a_ = butter(4, 400 / (rate / 2), "highpass")
     floor = lfilter(b, a_, rng.standard_normal(n)) * breath
     return env * (x + floor)
-
-
-def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
-    """Scale `noise` so 10*log10(P_clean/P_noise) == snr_db, then add."""
-    p_clean = np.mean(clean ** 2)
-    p_noise = np.mean(noise ** 2)
-    gain = np.sqrt(p_clean / p_noise * 10.0 ** (-snr_db / 10.0))
-    return clean + gain * noise
 
 
 @pytest.fixture(scope="session")

@@ -358,6 +358,34 @@ def test_integer_too_large_fails(tmp_path, clean_wav, capsys, command, flag, val
     assert list(tmp_path.iterdir()) == [clean_wav]
 
 
+# Each allocation below asks for about 1.3e18 bytes: past 2**57 (128 PiB, the
+# largest user address space Linux offers) and within a signed 64-bit size, so
+# the kernel refuses it at once, whatever its overcommit setting.  A smaller
+# size could be granted lazily, so none is tested.
+HUGE_MODES = 10 ** 13
+TOO_MANY = f"max_modes of {HUGE_MODES} is too many to hold at 16384 samples"
+
+
+@pytest.mark.parametrize("args, message", [
+    # plain EMD's modes array
+    (("decompose", "--ensemble-snr", "inf"), TOO_MANY),
+    # EEMD's shared sum of the trials' modes
+    (("decompose", "--ensemble", 2), TOO_MANY),
+    (("enhance", "--ensemble", 1), TOO_MANY),
+    # numpy's own message names the size of the noise it could not draw
+    (("synth-noise", "--alpha", 1.5, "--duration", 1e13), "Unable to allocate 1.11 EiB for an "
+     "array with shape (160000000000000000,) and data type float64"),
+], ids=["decompose-emd", "decompose-eemd", "enhance-eemd", "synth-noise"])
+def test_allocation_refused_fails(tmp_path, clean_wav, capsys, args, message):
+    command, *flags = args
+    out = {"decompose": ("--in", clean_wav, "--out-prefix", tmp_path / "p_", "--modes", HUGE_MODES),
+           "enhance": ("--in", clean_wav, "--out", tmp_path / "o", "--modes", HUGE_MODES),
+           "synth-noise": ("--out", tmp_path / "o")}[command]
+    assert run(command, *flags, *out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [clean_wav]
+
+
 class TestEnhanceCommand:
     def test_output_shape_and_profile(self, tmp_path, clean_wav):
         out = tmp_path / "enh.wav"

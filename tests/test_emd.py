@@ -621,7 +621,7 @@ def test_fork_sum_result_that_does_not_fit_reaches_caller(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with within(30):
         with pytest.raises(ValueError):
-            fork_module.fork_sum(lambda i: np.ones((3, 8)), 4, (2, 8))
+            fork_module.fork_sum(lambda i: np.ones((3, 8)), 4, fork_module.shared_zeros((2, 8)))
     assert multiprocessing.active_children() == []
 
 

@@ -18,7 +18,6 @@ from hhtalpha import (
     FrameGrid,
     Signal,
     alpha_from_nu,
-    analyse,
     eemd,
     enhance,
     profile_alpha,
@@ -255,19 +254,23 @@ class TestProfileOnAnyCoreCount:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
         assert multiprocessing.active_children() == []
 
-    def test_analyse_forks_both_stages(self, monkeypatch, noisy_pair):
+    def test_enhance_forks_eemd_and_profiling(self, monkeypatch, noisy_pair):
         _, noisy = noisy_pair
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         self.record_pools(monkeypatch, 1)
-        serial_imfs, _, serial_profile = analyse(short, small_cfg())
+        serial_out, serial_profile = enhance(short, small_cfg())
+        serial_imfs = eemd(short, small_cfg().eemd)
         pools = self.record_pools(monkeypatch, 2)
         with within(60):
-            imfs, _, profile = analyse(short, small_cfg())
-        # one pool for the EEMD trials, then one for the profiling
-        assert pools == [2, 2]
+            out, profile = enhance(short, small_cfg())
+            # one pool for the EEMD trials, then one for the profiling, none
+            # for the reconstruction
+            assert pools == [2, 2]
+            imfs = eemd(short, small_cfg().eemd)
         assert imfs.modes.tobytes() == serial_imfs.modes.tobytes()
         for name in ("per_mode", "noisy", "thresholds", "cut_index"):
             assert getattr(profile, name).tobytes() == getattr(serial_profile, name).tobytes()
+        assert out.samples.tobytes() == serial_out.samples.tobytes()
         assert multiprocessing.active_children() == []
 
     def test_no_fork_platform_runs_both_stages_in_process(self, monkeypatch, noisy_pair):
@@ -275,19 +278,22 @@ class TestProfileOnAnyCoreCount:
         short = Signal(noisy.samples[:8192], noisy.sample_rate)
         pools = self.record_pools(monkeypatch, 2)
         with within(60):
-            forked_imfs, _, forked_profile = analyse(short, small_cfg())
-        assert pools == [2, 2]
+            forked_out, forked_profile = enhance(short, small_cfg())
+            assert pools == [2, 2]
+            forked_imfs = eemd(short, small_cfg().eemd)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a platform without fork must not start a pool")
 
         monkeypatch.setattr(fork_module, "FORK", None)
         monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
-        imfs, _, profile = analyse(short, small_cfg())
+        out, profile = enhance(short, small_cfg())
+        imfs = eemd(short, small_cfg().eemd)
         assert imfs.modes.tobytes() == forked_imfs.modes.tobytes()
         assert imfs.residual.tobytes() == forked_imfs.residual.tobytes()
         for name in ("per_mode", "noisy", "thresholds", "cut_index"):
             assert getattr(profile, name).tobytes() == getattr(forked_profile, name).tobytes()
+        assert out.samples.tobytes() == forked_out.samples.tobytes()
         assert multiprocessing.active_children() == []
 
     def test_threaded_caller_profiles_in_process(self, monkeypatch):
@@ -534,10 +540,8 @@ class TestEnhance:
         assert np.sum(out.samples ** 2) >= 0.9 * np.sum(x ** 2)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            enhance(Signal(np.zeros(100), 16000), small_cfg())
         with pytest.raises(ValueError, match="quarter frame"):
-            analyse(Signal(np.zeros(100), 16000), small_cfg())
+            enhance(Signal(np.zeros(100), 16000), small_cfg())
 
     def test_constant_input_is_silence(self):
         sig = Signal(np.full(4096, 0.25), 16000)
@@ -546,9 +550,7 @@ class TestEnhance:
         np.testing.assert_array_equal(prof.cut_index, 0)
         assert len(out) == len(sig)
         np.testing.assert_array_equal(out.samples, 0.0)
-        _, grid, _ = analyse(sig, small_cfg())
-        assert grid == FrameGrid(small_cfg().frame_len, small_cfg().step)
-        assert grid.count(len(sig)) == prof.frame_count
+        assert FrameGrid(small_cfg().frame_len, small_cfg().step).count(len(sig)) == prof.frame_count
 
     def test_raising_rho_never_decreases_cut(self):
         x = make_speech_proxy(n=8192, bursts=((0.05, 0.2), (0.3, 0.15)))

@@ -12,7 +12,6 @@ output bytes on purpose rewrites the manifest in the same diff:
 import hashlib
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -25,9 +24,8 @@ from hhtalpha.cli import main
 
 from conftest import RATE, make_speech_proxy, mix_at_snr
 
-# the bench's seeded inputs; the bench itself never imports pytest
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from bench.inputs import noisy_pair  # noqa: E402
+# the bench's seeded inputs, importable once conftest has put the repo root on the path
+from bench.inputs import noisy_pair
 
 MANIFEST = Path(__file__).with_name("golden.json")
 
