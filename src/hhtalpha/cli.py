@@ -70,9 +70,16 @@ def _add_selection_flags(p):
                    help="threshold combination (default %(default)s)")
 
 
+def _csv_overwrites(flag: str, path: str | None, *others: tuple) -> None:
+    """Reject, before any work, a CSV path that names one of the (flag, path)
+    `others`: the CSV, written last, would replace that file."""
+    for other_flag, other in others:
+        if path and os.path.realpath(path) == os.path.realpath(other):
+            raise ValueError(f"{flag} and {other_flag} name the same file: {other}")
+
+
 def cmd_enhance(args) -> None:
-    if args.profile and os.path.realpath(args.profile) == os.path.realpath(args.outfile):
-        raise ValueError(f"--profile and --out name the same file: {args.outfile}")
+    _csv_overwrites("--profile", args.profile, ("--out", args.outfile), ("--in", args.infile))
     enhanced, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
     write_wav(enhanced, args.outfile)
     if args.profile:
@@ -94,6 +101,7 @@ def cmd_decompose(args) -> None:
 
 
 def cmd_alpha(args) -> None:
+    _csv_overwrites("--out", args.outfile, ("--in", args.infile))
     _, profile = run_enhance(read_wav(args.infile), _enhance_config(args))
     profile.write_csv(args.outfile)
 

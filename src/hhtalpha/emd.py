@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_sum, shared_zeros
+from ._fork import fork_map, fork_sum, shared_zeros
 from .signal import Signal, snr_gain, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
@@ -212,6 +212,18 @@ def _check_size(signal: Signal, max_modes: int) -> None:
         raise _too_many(max_modes, len(signal))
 
 
+def _sift_modes(residual: np.ndarray, max_modes: int):
+    """Yield up to max_modes modes, sifted one at a time from `residual`,
+    which each mode is taken out of before it is yielded."""
+    for _ in range(max_modes):
+        imf = sift(residual)
+        if imf is None:
+            return
+        residual -= imf
+        yield imf
+        del imf  # the next mode is sifted without this one
+
+
 def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     """Decompose a signal into oscillatory modes plus a residual trend.
 
@@ -227,17 +239,13 @@ def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     except MemoryError as exc:
         raise _too_many(max_modes, len(residual)) from exc
     count = 0
-    while count < max_modes:
-        imf = sift(residual)
-        if imf is None:
-            break
+    for imf in _sift_modes(residual, max_modes):
         modes[count] = imf
-        residual -= imf
         count += 1
     return ImfSet(modes[:count], residual)
 
 
-def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
+def eemd(signal: Signal, cfg: EemdConfig = EemdConfig(), score=None, scores=None) -> ImfSet:
     """Noise-ensemble decomposition.
 
     Runs plain EMD on cfg.ensemble_size white-Gaussian-noise-perturbed copies
@@ -247,9 +255,15 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     holds exactly.  Fully deterministic given cfg.master_seed.
 
     The trials run through `fork_sum`, on forked workers or in the calling
-    process, and each adds its modes into one shared sum in trial order, so
-    the output is bit-identical either way.  The averaged modes are that sum,
-    divided in place: the caller holds no second copy of them.
+    process.  Each adds every mode into one shared sum as soon as it has
+    sifted it, in trial order per mode, so the output is bit-identical either
+    way.  The averaged modes are that sum, divided in place: the caller holds
+    no second copy of them.
+
+    With `score`, a function of one sequence, `scores` receives
+    [score(input), score(mode 1), ...].  The same workers compute them: the
+    input's first, then each averaged mode's as soon as the last trial has
+    added that mode, while the trials sift the modes after it.
     """
     _check_size(signal, cfg.max_modes)
     x = signal.samples
@@ -258,12 +272,18 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
     noise_std = float(np.std(x)) * gain
     if noise_std == 0.0:
         # every trial would be identical; the ensemble degenerates to plain EMD
-        return emd(signal, cfg.max_modes)
+        imfs = emd(signal, cfg.max_modes)
+        if score is not None:
+            sequences = (x, *imfs.modes)
+            scores[:] = fork_map(lambda i: score(sequences[i]), len(sequences))
+        return imfs
 
-    def trial(n: int) -> np.ndarray:
+    def trial(n: int):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
-        noisy = x + noise_std * rng.standard_normal(len(x))
-        return emd(Signal(noisy, signal.sample_rate), cfg.max_modes).modes
+        return _sift_modes(x + noise_std * rng.standard_normal(len(x)), cfg.max_modes)
+
+    def follow(m: int) -> np.ndarray:
+        return score(x if m < 0 else acc[m] / cfg.ensemble_size)
 
     # loaded before the fork, or every worker would import LAPACK for its first spline
     import scipy.linalg.lapack  # noqa: F401
@@ -272,8 +292,11 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig()) -> ImfSet:
         acc = shared_zeros((cfg.max_modes, len(x)))
     except OSError as exc:  # mmap refuses a mapping with ENOMEM
         raise _too_many(cfg.max_modes, len(x)) from exc
-    rows = fork_sum(trial, cfg.ensemble_size, acc)
+    rows, follow_ups = fork_sum(trial, cfg.ensemble_size, acc,
+                                  None if score is None else follow)
     modes = acc[: max(rows)]
     residual = x - modes.sum(axis=0) / cfg.ensemble_size
     modes /= cfg.ensemble_size
+    if score is not None:
+        scores[:] = follow_ups
     return ImfSet(modes, residual)

@@ -76,30 +76,42 @@ class AlphaProfile:
                        header=",".join(header), comments="")
 
 
-def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
-    """Estimate the impulsiveness index per frame for every mode and for the
-    noisy samples themselves; returns (per_mode, noisy), (frames x modes) and
-    one value per frame.  Degenerate frames get the sentinel value 2.0.
+def _frame_scorer(grid: FrameGrid):
+    """The impulsiveness index of each of a sequence's frames on `grid`.
 
-    Each sequence's frames are scored from their order statistics, read a
-    block of frames at a time from one merged sorted window, so memory is
-    O(length + frame_len) per sequence.  The sequences are scored through
-    `fork_map`, as EEMD's trials are; the output is bit-identical wherever
-    they run.
+    The frames are scored from their order statistics, read a block of
+    frames at a time from one merged sorted window, so memory is
+    O(length + frame_len) per sequence.  Degenerate frames get the sentinel
+    value 2.0.
     """
-    if imfs.source_len != len(noisy):
-        raise ValueError("mode length does not match the noisy signal")
-
     ranks, gamma = hazen_ranks(grid.frame_len)
 
     def frame_alphas(samples):
         nu = nu_from_order_stats(frame_order_stats(samples, grid, ranks), gamma)
         return np.nan_to_num(alpha_from_nu(nu), nan=DEGENERATE_ALPHA)
 
-    sequences = (*imfs.modes, noisy)
-    *columns, noisy_alphas = fork_map(lambda i: frame_alphas(sequences[i]), len(sequences))
-    per_mode = np.reshape(columns, (imfs.mode_count, len(noisy_alphas))).T.copy()
-    return per_mode, noisy_alphas
+    return frame_alphas
+
+
+def _profile(scores):
+    """(per_mode, noisy) from [the noisy samples' frame alphas, mode 1's, ...]."""
+    noisy, *columns = scores
+    return np.reshape(columns, (len(columns), len(noisy))).T.copy(), noisy
+
+
+def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
+    """Estimate the impulsiveness index per frame for every mode and for the
+    noisy samples themselves; returns (per_mode, noisy), (frames x modes) and
+    one value per frame.  Degenerate frames get the sentinel value 2.0.
+
+    Each sequence is scored by the scorer `enhance` hands to `eemd`, here
+    through `fork_map`; the output is bit-identical wherever it runs.
+    """
+    if imfs.source_len != len(noisy):
+        raise ValueError("mode length does not match the noisy signal")
+    score = _frame_scorer(grid)
+    sequences = (noisy, *imfs.modes)
+    return _profile(fork_map(lambda i: score(sequences[i]), len(sequences)))
 
 
 def apply_selection(per_mode, noisy, cfg: EnhanceConfig) -> AlphaProfile:
@@ -133,10 +145,16 @@ def reconstruct(imfs: ImfSet, cut_index, grid: FrameGrid) -> np.ndarray:
 
 def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
     """Decompose, profile, select and reconstruct; returns (enhanced signal,
-    AlphaProfile)."""
+    AlphaProfile).
+
+    `eemd` gets the frame scorer of `profile_alpha`, so the one pool it forks
+    scores the input and each averaged mode as soon as that mode is final,
+    while its trials still sift the later modes.
+    """
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")
-    imfs = eemd(noisy, cfg.eemd)
     grid = FrameGrid(cfg.frame_len, cfg.step)
-    profile = apply_selection(*profile_alpha(imfs, noisy.samples, grid), cfg)
+    scores = []
+    imfs = eemd(noisy, cfg.eemd, _frame_scorer(grid), scores)
+    profile = apply_selection(*_profile(scores), cfg)
     return Signal(reconstruct(imfs, profile.cut_index, grid), noisy.sample_rate), profile

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import multiprocessing
 import os
 import signal
@@ -14,6 +15,9 @@ from scipy.signal import butter, lfilter
 
 import hhtalpha
 from hhtalpha import Signal, sample_sas
+
+# the package re-exports the function `emd`, which shadows the submodule name
+EMD = importlib.import_module("hhtalpha.emd")
 
 # The tests share the bench's seeded inputs; the bench itself never imports pytest.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -69,10 +73,13 @@ def noisy_pair(speech_proxy):
 @contextlib.contextmanager
 def within(seconds):
     """Fail a body that overruns `seconds` instead of hanging the run: at the
-    deadline the pool's workers are killed, so a stalled pool raises."""
+    deadline the pool's workers are killed, so a stalled pool raises, and the
+    body gets TimeoutError, so a wait in this process (an in-process run
+    stuck on a turn) ends as well."""
     def expire(signum, frame):
         for child in multiprocessing.active_children():
             child.kill()
+        raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     start = time.monotonic()
@@ -83,6 +90,56 @@ def within(seconds):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < seconds
+
+
+def hold_first_trial(monkeypatch, x, cfg, stall=0.3):
+    """Make trial 0 of `eemd(Signal(x, rate), cfg)` stall after its first mode,
+    so later trials reach row 1 first and must wait for its turn.  Returns
+    shared counts of trial 0 reaching row 1 and of other trials reaching it
+    before trial 0 did; forked workers inherit the patch."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+    noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
+    first = x + noise_std * rng.standard_normal(len(x))
+    context = multiprocessing.get_context("fork")
+    first_done, overtaken = context.Value("i", 0), context.Value("i", 0)
+    original = EMD._sift_modes
+
+    def holding_modes(residual, max_modes):
+        is_first = np.array_equal(residual, first)
+        for m, imf in enumerate(original(residual, max_modes)):
+            if m == 1:
+                with first_done.get_lock():
+                    if is_first:
+                        first_done.value += 1
+                    elif not first_done.value:
+                        overtaken.value += 1
+            yield imf
+            if is_first and m == 0:
+                time.sleep(stall)
+
+    monkeypatch.setattr(EMD, "_sift_modes", holding_modes)
+    return first_done, overtaken
+
+
+def fail_one_trial(monkeypatch, n, after):
+    """Make the n-th EEMD trial to start raise once it has yielded `after`
+    modes; returns the shared count of trials started."""
+    started = multiprocessing.get_context("fork").Value("i", 0)
+    original = EMD._sift_modes
+
+    def failing_modes(residual, max_modes):
+        with started.get_lock():
+            started.value += 1
+            k = started.value
+        for m, imf in enumerate(original(residual, max_modes)):
+            if k == n and m == after:
+                break
+            yield imf
+        if k == n:
+            raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(EMD, "_sift_modes", failing_modes)
+    return started
 
 
 # Linux carries ru_maxrss across exec, so a fresh interpreter's peak starts at

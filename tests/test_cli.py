@@ -459,6 +459,25 @@ class TestEnhanceCommand:
         assert capsys.readouterr().err == f"error: --profile and --out name the same file: {out}\n"
         assert out.read_bytes() == b"untouched"
 
+    def test_profile_naming_the_input_fails(self, tmp_path, clean_wav, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = clean_wav.read_bytes()
+        assert run("enhance", "--in", clean_wav, "--out", "enh.wav", "--profile", "clean.wav",
+                   "--ensemble", 1, "--modes", 4) == 1
+        assert capsys.readouterr().err == (f"error: --profile and --in name the same file: "
+                                           f"{clean_wav}\n")
+        assert clean_wav.read_bytes() == before
+        assert not (tmp_path / "enh.wav").exists()
+
+    def test_output_naming_the_input_is_allowed(self, tmp_path, clean_wav):
+        # the input is read before the output is written
+        expected = tmp_path / "enh.wav"
+        assert run("enhance", "--in", clean_wav, "--out", expected,
+                   "--ensemble", 1, "--modes", 4) == 0
+        assert run("enhance", "--in", clean_wav, "--out", clean_wav,
+                   "--ensemble", 1, "--modes", 4) == 0
+        assert clean_wav.read_bytes() == expected.read_bytes()
+
     def test_missing_file_fails(self, tmp_path):
         assert run("enhance", "--in", tmp_path / "nope.wav",
                    "--out", tmp_path / "o.wav") == 1
@@ -480,6 +499,13 @@ class TestAlphaCommand:
         assert run("enhance", "--in", clean_wav, "--out", tmp_path / "enh.wav",
                    "--profile", profile_csv, *self.FLAGS) == 0
         assert alpha_csv.read_bytes() == profile_csv.read_bytes()
+
+    def test_output_naming_the_input_fails(self, tmp_path, clean_wav, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = clean_wav.read_bytes()
+        assert run("alpha", "--in", "clean.wav", "--out", clean_wav, *self.FLAGS) == 1
+        assert capsys.readouterr().err == "error: --out and --in name the same file: clean.wav\n"
+        assert clean_wav.read_bytes() == before
 
     def test_shorter_than_quarter_frame_fails(self, tmp_path, clean_wav, capsys):
         out = tmp_path / "alpha.csv"

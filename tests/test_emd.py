@@ -5,7 +5,6 @@ import os
 import pathlib
 import re
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,7 +19,8 @@ from scipy.linalg import solve_banded
 from hhtalpha import EemdConfig, Signal, eemd, emd, sample_sas, sift
 from hhtalpha.emd import BOUNDARY_PAD_EXTREMA, ImfSet, envelope, find_extrema
 
-from conftest import fresh_python, make_speech_proxy, mix_at_snr, within
+from conftest import (fail_one_trial, fresh_python, hold_first_trial, make_speech_proxy,
+                      mix_at_snr, within)
 
 # the package re-exports the function `emd`, which shadows the submodule name
 emd_module = importlib.import_module("hhtalpha.emd")
@@ -515,30 +515,11 @@ print(seen)
         # 6 workers on fewer cores: a lost or out-of-order addition changes the bytes
         x = np.random.default_rng(11).standard_normal(1024)
         cfg = EemdConfig(ensemble_size=16, master_seed=3)
+        # the oracle's own `emd` runs before any patch
+        modes, residual = reference_eemd(x, 8000, cfg)
         pools = []
         if hold_first:
-            # trial 0's EMD sleeps, so later trials end theirs first and must
-            # wait their turn; forked workers inherit the patch
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
-            noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
-            first = x + noise_std * rng.standard_normal(len(x))
-            context = multiprocessing.get_context("fork")
-            first_done, overtaken = context.Value("i", 0), context.Value("i", 0)
-            original = emd_module.emd
-
-            def holding_emd(sig, max_modes):
-                is_first = np.array_equal(sig.samples, first)
-                if is_first:
-                    time.sleep(0.3)
-                result = original(sig, max_modes)
-                with first_done.get_lock():
-                    if is_first:
-                        first_done.value += 1
-                    elif not first_done.value:
-                        overtaken.value += 1
-                return result
-
-            monkeypatch.setattr(emd_module, "emd", holding_emd)
+            first_done, overtaken = hold_first_trial(monkeypatch, x, cfg)
 
         def recording_pool(workers, **kwargs):
             pools.append(workers)
@@ -549,7 +530,6 @@ print(seen)
         with within(60):
             imfs = eemd(Signal(x, 8000), cfg)
         assert pools == ([cpus] if cpus > 1 else [])
-        modes, residual = reference_eemd(x, 8000, cfg)
         assert imfs.modes.shape == modes.shape
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
@@ -561,24 +541,26 @@ print(seen)
     def test_failing_trial_reaches_caller(self, monkeypatch, cpus):
         # the patch is inherited by forked workers; the shared count makes
         # exactly one trial, the fourth to start, raise
-        started = multiprocessing.get_context("fork").Value("i", 0)
-        original = emd_module.emd
-
-        def failing_emd(sig, max_modes):
-            with started.get_lock():
-                started.value += 1
-                n = started.value
-            if n == 4:
-                raise RuntimeError("trial failed")
-            return original(sig, max_modes)
-
+        started = fail_one_trial(monkeypatch, 4, 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(emd_module, "emd", failing_emd)
         x = np.random.default_rng(12).standard_normal(1024)
         with within(60):
             with pytest.raises(RuntimeError, match="trial failed"):
                 eemd(Signal(x, 8000), EemdConfig(ensemble_size=8))
         assert 4 <= started.value <= 8
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 6])
+    def test_trial_failing_after_its_first_modes_reaches_caller(self, monkeypatch, cpus):
+        # the third trial raises after adding two modes; it still passes the
+        # turns of the rows it never reached, so the later trials end
+        started = fail_one_trial(monkeypatch, 3, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        x = np.random.default_rng(12).standard_normal(1024)
+        with within(60):
+            with pytest.raises(RuntimeError, match="trial failed"):
+                eemd(Signal(x, 8000), EemdConfig(ensemble_size=8))
+        assert 3 <= started.value <= 8
         assert multiprocessing.active_children() == []
 
     def test_caller_holds_one_copy_of_the_modes(self):
@@ -614,6 +596,37 @@ print(seen)
         modes, residual = reference_eemd(x, 8000, cfg)
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fork_sum_follow_ups_see_final_rows(monkeypatch, cpus):
+    # call i yields i + 1 rows of 8 values, so rows 3 and 4 of the sum are
+    # never reached and get no follow-up; each follow-up sees its row only
+    # once every call has added or passed it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    total = fork_module.shared_zeros((5, 8))
+
+    def call(i):
+        return (np.full(8, 10.0 ** i * (m + 1)) for m in range(i + 1))
+
+    def then(m):
+        return "first" if m < 0 else total[m].copy()
+
+    with within(30):
+        rows, follow_ups = fork_module.fork_sum(call, 3, total, then)
+    assert rows == [1, 2, 3]
+    assert follow_ups[0] == "first"
+    assert [row[0] for row in follow_ups[1:]] == [111.0, 220.0, 300.0]
+    assert multiprocessing.active_children() == []
+
+
+def test_within_ends_a_wait_in_the_calling_process():
+    # a turn that never comes, waited for in this process, as an in-process run would
+    cond = multiprocessing.get_context("fork").Condition()
+    with pytest.raises(TimeoutError):
+        with within(1):
+            with cond:
+                cond.wait_for(lambda: False)
 
 
 def test_fork_sum_result_that_does_not_fit_reaches_caller(monkeypatch):

@@ -27,7 +27,8 @@ from hhtalpha import (
 from hhtalpha.emd import ImfSet
 from hhtalpha.enhance import apply_selection
 
-from conftest import OWN_PEAK, fresh_python, make_speech_proxy, mix_at_snr, within
+from conftest import (OWN_PEAK, fail_one_trial, fresh_python, hold_first_trial, make_speech_proxy,
+                      mix_at_snr, within)
 
 # the package re-exports the function `enhance`, which shadows the submodule name
 enhance_module = importlib.import_module("hhtalpha.enhance")
@@ -263,9 +264,9 @@ class TestProfileOnAnyCoreCount:
         pools = self.record_pools(monkeypatch, 2)
         with within(60):
             out, profile = enhance(short, small_cfg())
-            # one pool for the EEMD trials, then one for the profiling, none
-            # for the reconstruction
-            assert pools == [2, 2]
+            # one pool for the EEMD trials and the profiling, none for the
+            # reconstruction
+            assert pools == [2]
             imfs = eemd(short, small_cfg().eemd)
         assert imfs.modes.tobytes() == serial_imfs.modes.tobytes()
         for name in ("per_mode", "noisy", "thresholds", "cut_index"):
@@ -279,7 +280,7 @@ class TestProfileOnAnyCoreCount:
         pools = self.record_pools(monkeypatch, 2)
         with within(60):
             forked_out, forked_profile = enhance(short, small_cfg())
-            assert pools == [2, 2]
+            assert pools == [2]
             forked_imfs = eemd(short, small_cfg().eemd)
 
         def no_pool(*args, **kwargs):
@@ -332,6 +333,123 @@ class TestProfileOnAnyCoreCount:
         with within(60):
             with pytest.raises(RuntimeError, match="scoring failed"):
                 profile_alpha(imfs, noisy, grid)
+        assert multiprocessing.active_children() == []
+
+
+class TestEnhanceStreamsModesIntoProfiling:
+    """`enhance` scores the input and each averaged mode on the EEMD workers,
+    each mode once the last trial has added it; the bytes must not depend on
+    how many workers there are or on which trial reaches a mode first."""
+
+    record_pools = staticmethod(TestProfileOnAnyCoreCount.record_pools)
+
+    @staticmethod
+    def short(noisy_pair):
+        _, noisy = noisy_pair
+        return Signal(noisy.samples[:8192], noisy.sample_rate)
+
+    @staticmethod
+    def record_eemd(monkeypatch):
+        seen, real = [], enhance_module.eemd
+
+        def recording_eemd(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(enhance_module, "eemd", recording_eemd)
+        return seen
+
+    def assert_matches_serial(self, imfs, profile, expected):
+        modes, residual, (per_mode, noisy_alphas) = expected
+        assert imfs.modes.tobytes() == modes.tobytes()
+        assert imfs.residual.tobytes() == residual.tobytes()
+        assert profile.per_mode.tobytes() == per_mode.tobytes()
+        assert profile.noisy.tobytes() == noisy_alphas.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def serial(self, monkeypatch, signal, cfg, decompose=None):
+        self.record_pools(monkeypatch, 1)
+        imfs = (decompose or eemd)(signal, cfg.eemd)
+        grid = FrameGrid(cfg.frame_len, cfg.step)
+        return imfs.modes, imfs.residual, quantile_profile(imfs, signal.samples, grid)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 6])
+    def test_stalled_trial_changes_no_byte(self, monkeypatch, noisy_pair, cpus):
+        # trial 0 stalls after its first mode, so on more than one worker a
+        # later trial reaches mode 2 first and waits for its turn there; on
+        # six, mode 1 is scored while trial 0 still stalls
+        short, cfg = self.short(noisy_pair), small_cfg()
+        expected = self.serial(monkeypatch, short, cfg)
+        first_done, overtaken = hold_first_trial(monkeypatch, short.samples, cfg.eemd)
+        seen = self.record_eemd(monkeypatch)
+        pools = self.record_pools(monkeypatch, cpus)
+        with within(60):
+            _, profile = enhance(short, cfg)
+        assert pools == ([cpus] if cpus > 1 else [])
+        assert first_done.value == 1
+        assert overtaken.value >= (1 if cpus > 1 else 0)
+        self.assert_matches_serial(seen[0], profile, expected)
+
+    def test_threaded_caller_enhances_in_process(self, monkeypatch, noisy_pair):
+        short, cfg = self.short(noisy_pair), small_cfg()
+        expected = self.serial(monkeypatch, short, cfg)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a caller with threads must not fork")
+
+        seen = self.record_eemd(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with within(60):
+                _, profile = enhance(short, cfg)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        self.assert_matches_serial(seen[0], profile, expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_noise_free_ensemble_is_profiled(self, monkeypatch, noisy_pair, cpus):
+        # no added noise: EEMD is plain EMD, with no trials to stream from
+        short = self.short(noisy_pair)
+        cfg = small_cfg(eemd=dataclasses.replace(FAST_EEMD, ensemble_snr_db=np.inf))
+        expected = self.serial(monkeypatch, short, cfg,
+                               lambda signal, ecfg: hhtalpha.emd(signal, ecfg.max_modes))
+        seen = self.record_eemd(monkeypatch)
+        pools = self.record_pools(monkeypatch, cpus)
+        with within(60):
+            _, profile = enhance(short, cfg)
+        assert pools == ([cpus] if cpus > 1 else [])
+        self.assert_matches_serial(seen[0], profile, expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", ["trial", "scorer"])
+    def test_failure_reaches_caller(self, monkeypatch, noisy_pair, failing, cpus):
+        # the second trial raises after one mode, or the third sequence's
+        # scoring raises; the pool's other tasks still end
+        short = self.short(noisy_pair)
+        if failing == "trial":
+            fail_one_trial(monkeypatch, 2, 1)
+        else:
+            scored = multiprocessing.get_context("fork").Value("i", 0)
+            original = enhance_module.frame_order_stats
+
+            def failing_order_stats(samples, grid, ranks):
+                with scored.get_lock():
+                    scored.value += 1
+                    if scored.value == 3:
+                        raise RuntimeError("scorer failed")
+                return original(samples, grid, ranks)
+
+            monkeypatch.setattr(enhance_module, "frame_order_stats", failing_order_stats)
+        self.record_pools(monkeypatch, cpus)
+        with within(60):
+            with pytest.raises(RuntimeError, match=f"{failing} failed"):
+                enhance(short, small_cfg())
         assert multiprocessing.active_children() == []
 
 
@@ -578,8 +696,10 @@ class TestMemoryAgainstLength:
     """Peak RSS of `enhance` at ensemble 2, per sample the input grows from
     9.6 s to 38.4 s (a proxy in alpha = 1.5 noise at 0 dB, each length in a
     fresh interpreter), as a multiple of the modes' 8 * max_modes bytes per
-    sample.  Measured on 2 cores over 10 runs: the parent 1.61-1.62 x and each
-    EEMD worker 3.04-3.47 x, or the parent 3.94-4.34 x with the trials in-process."""
+    sample.  Measured on 2 cores over 10 runs: the parent 1.50-1.52 x and each
+    worker 1.90-2.04 x, or over 3 runs the parent 2.80-2.82 x with the trials
+    in-process.  While each EEMD trial held all its modes until its turn, a
+    worker read 3.04-3.47 x and the in-process parent 4.08-4.34 x."""
 
     @pytest.fixture(scope="class")
     def growth(self, tmp_path_factory):
@@ -600,12 +720,12 @@ class TestMemoryAgainstLength:
         return len(os.sched_getaffinity(0)) > 1
 
     def test_parent_peak_grows_by_a_few_modes(self, growth):
-        assert growth[0] < (2.5 if self.workers() else 6.0)
+        assert growth[0] < (2.5 if self.workers() else 3.5)
 
     def test_worker_peak_grows_by_a_few_modes(self, growth):
         if not self.workers():
             pytest.skip("one usable core: the trials run in the parent, with no workers")
-        assert growth[1] < 4.5
+        assert growth[1] < 2.5
 
 
 class TestProfileCsv:
