@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_map, fork_sum, shared_zeros
+from ._fork import fork_sum, shared_zeros
 from .signal import Signal, snr_gain, whole_number
 
 # Shortest signal `emd` and `eemd` decompose.
@@ -200,18 +200,6 @@ def sift(x: np.ndarray) -> np.ndarray | None:
     return h
 
 
-def _too_many(max_modes: int, length: int) -> ValueError:
-    return ValueError(f"max_modes of {max_modes} is too many to hold at {length} samples")
-
-
-def _check_size(signal: Signal, max_modes: int) -> None:
-    if len(signal) < MIN_LENGTH:
-        raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
-    # numpy and mmap count an array's bytes in a signed machine word
-    if 8 * max_modes * len(signal) > np.iinfo(np.intp).max:
-        raise _too_many(max_modes, len(signal))
-
-
 def _sift_modes(residual: np.ndarray, max_modes: int):
     """Yield up to max_modes modes, sifted one at a time from `residual`,
     which each mode is taken out of before it is yielded."""
@@ -227,22 +215,13 @@ def _sift_modes(residual: np.ndarray, max_modes: int):
 def emd(signal: Signal, max_modes: int = EemdConfig.max_modes) -> ImfSet:
     """Decompose a signal into oscillatory modes plus a residual trend.
 
-    Modes are extracted from the running residual until max_modes are found
-    or the residual has fewer than 2 maxima or 2 minima.  The sum of all
-    modes plus the residual reproduces the input to round-off.
+    `eemd`'s single noise-free trial, which a noise-free ensemble runs
+    whatever its size: modes are sifted out of a running residual until
+    max_modes are found or it has fewer than 2 maxima or 2 minima.  As in
+    `eemd`, the residual returned is the input minus the summed modes, so
+    the two add up to the input to round-off.  LAPACK loads before the trial.
     """
-    max_modes = whole_number(max_modes, "max_modes", 1)
-    _check_size(signal, max_modes)
-    residual = signal.samples.copy()
-    try:
-        modes = np.empty((max_modes, len(residual)))
-    except MemoryError as exc:
-        raise _too_many(max_modes, len(residual)) from exc
-    count = 0
-    for imf in _sift_modes(residual, max_modes):
-        modes[count] = imf
-        count += 1
-    return ImfSet(modes[:count], residual)
+    return eemd(signal, EemdConfig(max_modes, ensemble_size=1, ensemble_snr_db=np.inf))
 
 
 def eemd(signal: Signal, cfg: EemdConfig = EemdConfig(), score=None, scores=None) -> ImfSet:
@@ -252,7 +231,9 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig(), score=None, scores=None
     of the signal (noise level set by cfg.ensemble_snr_db relative to the
     signal variance) and averages the m-th modes across trials.  The residual
     is defined as the input minus the summed averaged modes, so completeness
-    holds exactly.  Fully deterministic given cfg.master_seed.
+    holds exactly.  Fully deterministic given cfg.master_seed.  A noise-free
+    ensemble (+inf dB, or a constant input) runs one trial of the input
+    itself, whatever cfg.ensemble_size says: that trial is `emd`.
 
     The trials run through `fork_sum`, on forked workers or in the calling
     process.  Each adds every mode into one shared sum as soon as it has
@@ -265,38 +246,37 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig(), score=None, scores=None
     input's first, then each averaged mode's as soon as the last trial has
     added that mode, while the trials sift the modes after it.
     """
-    _check_size(signal, cfg.max_modes)
+    if len(signal) < MIN_LENGTH:
+        raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
     x = signal.samples
-    # 0 at +inf dB (no added noise) and on a silent input
+    # 0 at +inf dB (no added noise) and on a constant input
     gain = snr_gain(cfg.ensemble_snr_db, "ensemble_snr_db", 20.0, "+inf (no added noise)")
     noise_std = float(np.std(x)) * gain
-    if noise_std == 0.0:
-        # every trial would be identical; the ensemble degenerates to plain EMD
-        imfs = emd(signal, cfg.max_modes)
-        if score is not None:
-            sequences = (x, *imfs.modes)
-            scores[:] = fork_map(lambda i: score(sequences[i]), len(sequences))
-        return imfs
+    # without noise every trial would be the same one
+    trials = cfg.ensemble_size if noise_std else 1
 
     def trial(n: int):
+        if not noise_std:
+            return _sift_modes(x.copy(), cfg.max_modes)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
         return _sift_modes(x + noise_std * rng.standard_normal(len(x)), cfg.max_modes)
 
     def follow(m: int) -> np.ndarray:
-        return score(x if m < 0 else acc[m] / cfg.ensemble_size)
+        return score(x if m < 0 else acc[m] / trials)
 
     # loaded before the fork, or every worker would import LAPACK for its first spline
     import scipy.linalg.lapack  # noqa: F401
 
     try:
         acc = shared_zeros((cfg.max_modes, len(x)))
-    except OSError as exc:  # mmap refuses a mapping with ENOMEM
-        raise _too_many(cfg.max_modes, len(x)) from exc
-    rows, follow_ups = fork_sum(trial, cfg.ensemble_size, acc,
-                                  None if score is None else follow)
+    except (OverflowError, OSError) as exc:
+        # mmap takes no size past a machine word, and refuses a mapping with ENOMEM
+        too_many = f"max_modes of {cfg.max_modes} is too many to hold at {len(x)} samples"
+        raise ValueError(too_many) from exc
+    rows, follow_ups = fork_sum(trial, trials, acc, None if score is None else follow)
     modes = acc[: max(rows)]
-    residual = x - modes.sum(axis=0) / cfg.ensemble_size
-    modes /= cfg.ensemble_size
+    residual = x - modes.sum(axis=0) / trials
+    modes /= trials
     if score is not None:
         scores[:] = follow_ups
     return ImfSet(modes, residual)

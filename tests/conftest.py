@@ -1,5 +1,7 @@
 import contextlib
+import faulthandler
 import importlib
+import math
 import multiprocessing
 import os
 import signal
@@ -73,23 +75,39 @@ def noisy_pair(speech_proxy):
 @contextlib.contextmanager
 def within(seconds):
     """Fail a body that overruns `seconds` instead of hanging the run: at the
-    deadline the pool's workers are killed, so a stalled pool raises, and the
-    body gets TimeoutError, so a wait in this process (an in-process run
-    stuck on a turn) ends as well."""
+    deadline every thread's traceback is dumped to stderr, the pool's workers
+    are killed, so a stalled pool raises, and the body gets TimeoutError, so
+    a wait in this process (an in-process run stuck on a turn) ends as well.
+    Deadlines nest: an outer one still armed cuts an inner one short, and is
+    re-armed on exit with what is left of it."""
     def expire(signum, frame):
+        faulthandler.dump_traceback(sys.__stderr__, all_threads=True)
         for child in multiprocessing.active_children():
             child.kill()
         raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     start = time.monotonic()
-    signal.alarm(seconds)
+    outer = signal.alarm(seconds)
+    if outer:
+        signal.alarm(min(seconds, outer))
     try:
         yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # alarm(0) would cancel the outer deadline, so one already past fires in 1 s
+            signal.alarm(max(1, math.ceil(outer - (time.monotonic() - start))))
     assert time.monotonic() - start < seconds
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """A test still running after 120 s fails, and the run goes on: the
+    slowest takes a few seconds, even on one core."""
+    with within(120):
+        yield
 
 
 def hold_first_trial(monkeypatch, x, cfg, stall=0.3):

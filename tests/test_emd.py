@@ -4,7 +4,9 @@ import multiprocessing
 import os
 import pathlib
 import re
+import signal
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -118,16 +120,31 @@ def spline_case(case, length=3000):
 SPLINE_CASES = ["dense", "sparse", "two", "three", "first_sample", "last_sample"]
 
 
-def reference_eemd(x, rate, cfg):
+def reference_emd(x, max_modes=EemdConfig.max_modes):
+    """The serial sifting loop, the oracle for `emd`: each mode is sifted from
+    a running residual and subtracted from it.  Returns the stacked modes and
+    that running residual."""
+    residual = np.array(x, dtype=np.float64)
+    modes = []
+    for _ in range(max_modes):
+        imf = sift(residual)
+        if imf is None:
+            break
+        residual -= imf
+        modes.append(imf)
+    return np.array(modes).reshape(len(modes), len(residual)), residual
+
+
+def reference_eemd(x, cfg):
     """The serial ensemble loop, the oracle for `eemd`'s modes and residual bytes."""
     noise_std = float(np.std(x)) * 10.0 ** (-cfg.ensemble_snr_db / 20.0)
     acc = np.zeros((cfg.max_modes, len(x)))
     produced = 0
     for n in range(cfg.ensemble_size):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n]))
-        imfs = emd(Signal(x + noise_std * rng.standard_normal(len(x)), rate), cfg.max_modes)
-        produced = max(produced, imfs.mode_count)
-        acc[: imfs.mode_count] += imfs.modes
+        modes, _ = reference_emd(x + noise_std * rng.standard_normal(len(x)), cfg.max_modes)
+        produced = max(produced, len(modes))
+        acc[: len(modes)] += modes
     return acc[:produced] / cfg.ensemble_size, x - acc[:produced].sum(axis=0) / cfg.ensemble_size
 
 
@@ -347,6 +364,20 @@ class TestEmd:
         later = max(np.corrcoef(m, tone(50))[0, 1] for m in imfs.modes[1:])
         assert later > 0.90
 
+    @pytest.mark.parametrize("case, max_modes", [
+        ("two_tone", 10), ("randn", 10), ("randn", 3), ("noisy_proxy", 10)])
+    def test_matches_serial_oracle(self, noisy_pair, case, max_modes):
+        # emd is eemd's one noise-free trial; its modes are the serial loop's
+        # bytes, and its residual is x - sum(modes), not the running residual
+        x = {"two_tone": tone(50) + tone(500),
+             "randn": np.random.default_rng(31).standard_normal(8192),
+             "noisy_proxy": noisy_pair[1].samples}[case]
+        modes, residual = reference_emd(x, max_modes)
+        imfs = emd(Signal(x, 8000), max_modes)
+        assert imfs.mode_count == len(modes) > 1
+        assert imfs.modes.tobytes() == modes.tobytes()
+        assert np.max(np.abs(imfs.residual - residual)) <= 1e-12 * np.max(np.abs(x))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             emd(Signal(np.zeros(8), 1))
@@ -454,14 +485,28 @@ class TestEemd:
         for name in ("max_modes", "ensemble_size", "master_seed"):
             assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
 
-    def test_degenerate_ensemble_equals_emd(self):
-        x = tone(50) + tone(500)
+    @pytest.mark.parametrize("x, snr_db, ensemble_size", [
+        pytest.param(tone(50) + tone(500), np.inf, 1, id="inf-dB-ensemble-1"),
+        pytest.param(tone(50) + tone(500), np.inf, 5, id="inf-dB-ensemble-5"),
+        pytest.param(np.full(4000, -0.25), 30.0, 5, id="constant-ensemble-5")])
+    def test_degenerate_ensemble_equals_emd(self, monkeypatch, x, snr_db, ensemble_size):
+        # no added noise: one trial of the input itself, whatever the ensemble size
         sig = Signal(x, 8000)
-        cfg = EemdConfig(ensemble_size=1, ensemble_snr_db=np.inf, master_seed=1)
-        a = eemd(sig, cfg)
         b = emd(sig)
-        np.testing.assert_array_equal(a.modes, b.modes)
-        np.testing.assert_array_equal(a.residual, b.residual)
+        trials, real = [], emd_module.fork_sum
+
+        def spy(fn, count, *args):
+            trials.append(count)
+            return real(fn, count, *args)
+
+        monkeypatch.setattr(emd_module, "fork_sum", spy)
+        a = eemd(sig, EemdConfig(ensemble_size=ensemble_size, ensemble_snr_db=snr_db,
+                                 master_seed=1))
+        assert trials == [1]
+        modes, _ = reference_emd(x)
+        assert a.modes.tobytes() == b.modes.tobytes() == modes.tobytes()
+        assert a.residual.tobytes() == b.residual.tobytes()
+        np.testing.assert_array_equal(a.residual, x - modes.sum(axis=0))
 
     def test_lapack_loaded_before_the_trials_fork(self):
         # a worker that had to import LAPACK for its first spline would pay
@@ -515,8 +560,8 @@ print(seen)
         # 6 workers on fewer cores: a lost or out-of-order addition changes the bytes
         x = np.random.default_rng(11).standard_normal(1024)
         cfg = EemdConfig(ensemble_size=16, master_seed=3)
-        # the oracle's own `emd` runs before any patch
-        modes, residual = reference_eemd(x, 8000, cfg)
+        # the oracle sifts before any patch
+        modes, residual = reference_eemd(x, cfg)
         pools = []
         if hold_first:
             first_done, overtaken = hold_first_trial(monkeypatch, x, cfg)
@@ -593,7 +638,7 @@ print(seen)
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        modes, residual = reference_eemd(x, 8000, cfg)
+        modes, residual = reference_eemd(x, cfg)
         assert imfs.modes.tobytes() == modes.tobytes()
         assert imfs.residual.tobytes() == residual.tobytes()
 
@@ -627,6 +672,24 @@ def test_within_ends_a_wait_in_the_calling_process():
         with within(1):
             with cond:
                 cond.wait_for(lambda: False)
+
+
+def test_within_rearms_the_outer_deadline():
+    with within(30):
+        with within(1):
+            pass
+        left = signal.alarm(0)
+        signal.alarm(left)
+    assert 28 <= left <= 30
+
+
+def test_within_outer_deadline_cuts_an_inner_one_short():
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        with within(1):
+            with within(60):
+                time.sleep(10)
+    assert time.monotonic() - start < 5
 
 
 def test_fork_sum_result_that_does_not_fit_reaches_caller(monkeypatch):

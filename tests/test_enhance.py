@@ -414,7 +414,8 @@ class TestEnhanceStreamsModesIntoProfiling:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_noise_free_ensemble_is_profiled(self, monkeypatch, noisy_pair, cpus):
-        # no added noise: EEMD is plain EMD, with no trials to stream from
+        # no added noise: EEMD runs one trial, plain EMD, whatever the ensemble
+        # size, and its modes are scored as that trial adds them
         short = self.short(noisy_pair)
         cfg = small_cfg(eemd=dataclasses.replace(FAST_EEMD, ensemble_snr_db=np.inf))
         expected = self.serial(monkeypatch, short, cfg,
