@@ -102,6 +102,15 @@ def spline_case(case, length=3000):
     if case == "dense":
         # about length / 3 knots, like the first mode of noise
         indices = np.sort(rng.choice(np.arange(1, length - 1), length // 3, replace=False))
+    elif case == "every_2_to_4":
+        # evenly dense, as mode 1 of a noisy input: one knot every 2-4 samples
+        indices = np.cumsum(rng.integers(2, 5, length // 3))
+        indices = indices[indices < length - 1]
+    elif case == "crossover":
+        # mirrored at each end (pad 2) these give one segment more than
+        # length / DENSE_KNOTS, so a gather; bare (pad 0), four fewer, a repeat
+        indices = np.sort(rng.choice(np.arange(1, length - 1),
+                                     length // emd_module.DENSE_KNOTS - 2, replace=False))
     elif case == "sparse":
         indices = np.sort(rng.choice(np.arange(1, length - 1), 10, replace=False))
     elif case == "two":
@@ -117,7 +126,8 @@ def spline_case(case, length=3000):
     return indices, 5.0 * rng.standard_normal(len(indices))
 
 
-SPLINE_CASES = ["dense", "sparse", "two", "three", "first_sample", "last_sample"]
+SPLINE_CASES = ["dense", "every_2_to_4", "crossover", "sparse", "two", "three", "first_sample",
+                "last_sample"]
 
 
 def reference_emd(x, max_modes=EemdConfig.max_modes):
@@ -187,6 +197,14 @@ class TestFindExtrema:
         assert list(max_i) == maxima and list(min_i) == minima
         np.testing.assert_array_equal(max_v, x[maxima])
         np.testing.assert_array_equal(min_v, x[minima])
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.random.default_rng(37).standard_normal((3, 40)), id="rows"),
+        pytest.param(2.0, id="scalar"),
+    ])
+    def test_input_that_is_not_one_dimensional_rejected(self, x):
+        with pytest.raises(ValueError, match="find_extrema needs a 1-D array"):
+            find_extrema(x)
 
     def test_unsigned_input_does_not_wrap(self):
         (max_i, _), (min_i, _) = find_extrema(np.array([1, 0, 1, 3, 2], dtype=np.uint8))
@@ -272,8 +290,12 @@ class TestEnvelope:
     def test_bytes_match_reference(self, monkeypatch, case, pad):
         indices, values = spline_case(case)
         mirror(monkeypatch, pad)
-        env = envelope(indices, values, 3000)
-        assert env.tobytes() == reference_spline_envelope(indices, values, 3000, pad).tobytes()
+        want = reference_spline_envelope(indices, values, 3000, pad).tobytes()
+        assert envelope(indices, values, 3000).tobytes() == want
+        # every spline through np.repeat (0), then every one through the gather (inf)
+        for dense_knots in (0, np.inf):
+            monkeypatch.setattr(emd_module, "DENSE_KNOTS", dense_knots)
+            assert envelope(indices, values, 3000).tobytes() == want
 
     def test_one_interior_knot_bytes_match_reference(self):
         # mirroring one extremum gives three knots: a 1 x 1 second-derivative system
@@ -282,9 +304,42 @@ class TestEnvelope:
         assert env.tobytes() == reference_spline_envelope([1300], [2.0], 3000).tobytes()
 
     def test_owns_its_buffer(self):
-        indices, values = spline_case("dense")
-        env = envelope(indices, values, 3000)
-        assert env.base is None and env.flags.owndata
+        # dense knots gather the coefficient rows, sparse ones repeat them
+        for case in ("dense", "sparse"):
+            env = envelope(*spline_case(case), 3000)
+            assert env.base is None and env.flags.owndata
+
+    @pytest.mark.parametrize("indices, values", [
+        pytest.param([1, 3, 5], [0.0, 1.0], id="fewer_values"),
+        pytest.param([1, 3], [0.0, 1.0, 0.0], id="more_values"),
+        pytest.param([[1, 3, 5]], [[0.0, 1.0, 0.0]], id="two_dimensional"),
+    ])
+    def test_indices_and_values_must_match(self, indices, values):
+        with pytest.raises(ValueError, match="indices and values must be 1-D arrays of one length"):
+            envelope(indices, values, 7)
+
+    @pytest.mark.parametrize("length", [7.5, "7", None])
+    def test_length_must_be_a_whole_number(self, length):
+        with pytest.raises(ValueError, match="length must be a whole number"):
+            envelope([1, 3, 5], [0.0, 1.0, 0.0], length)
+
+    def test_whole_float_length_accepted(self):
+        assert envelope([1, 3, 5], [0.0, 1.0, 0.0], 7.0).tobytes() == \
+            envelope([1, 3, 5], [0.0, 1.0, 0.0], 7).tobytes()
+
+    def test_sift_means_match_envelopes(self, noisy_pair):
+        # the sift fits its envelopes without `envelope`'s checks: the same
+        # bytes on every mode's input of one EEMD trial
+        x = noisy_pair[1].samples
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+        residual = x + float(np.std(x)) * 10.0 ** (-30.0 / 20.0) * rng.standard_normal(len(x))
+        for _ in range(EemdConfig.max_modes):
+            (max_i, max_v), (min_i, min_v) = find_extrema(residual)
+            want = envelope(max_i, max_v, len(residual))
+            want += envelope(min_i, min_v, len(residual))
+            want *= 0.5
+            assert emd_module._mean_envelope(residual).tobytes() == want.tobytes()
+            residual -= sift(residual)
 
 
 class TestSift:
@@ -313,9 +368,27 @@ class TestSift:
     def test_no_mode_without_two_of_each_extremum(self, x):
         assert sift(x) is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        x = tone(50) + tone(500)
+        x[1234] = bad
+        with pytest.raises(ValueError, match="sift needs finite samples"):
+            sift(x)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.ones((3, 40)), id="constant_rows"),
+        pytest.param(np.random.default_rng(31).standard_normal((3, 40)), id="random_rows"),
+        pytest.param(np.float64(1.0), id="scalar"),
+    ])
+    def test_input_that_is_not_one_dimensional_rejected(self, x):
+        with pytest.raises(ValueError, match="sift needs a 1-D array"):
+            sift(x)
+
     def test_memory_peak(self):
-        # the spline's repeated coefficient rows die inside `envelope`; a
-        # result that kept them alive would raise this to ~22 values per sample
+        # the spline's expanded coefficient rows, gathered through a segment
+        # index on dense knots and repeated on sparse ones, die inside the
+        # spline; a result that kept them alive would raise this to ~22
+        # values per sample
         clean = make_speech_proxy()
         x = mix_at_snr(clean, sample_sas(1.2, len(clean), 13), 0.0)
         sift(x)
@@ -423,7 +496,7 @@ class TestEmd:
     def test_matches_cubic_spline_reference(self, monkeypatch):
         x = tone(50) + 0.3 * np.random.default_rng(23).standard_normal(8000)
         fast = emd(Signal(x, 8000))
-        monkeypatch.setattr(emd_module, "envelope", reference_envelope)
+        monkeypatch.setattr(emd_module, "_mirrored_spline", reference_envelope)
         ref = emd(Signal(x, 8000))
         assert fast.mode_count == ref.mode_count > 1
         peak = np.max(np.abs(x))
@@ -438,7 +511,7 @@ class TestEmd:
         x = x + float(np.std(x)) * 10.0 ** (-30.0 / 20.0) * rng.standard_normal(len(x))
         fast = emd(Signal(x, 16000))
         monkeypatch.setattr(emd_module, "find_extrema", reference_find_extrema)
-        monkeypatch.setattr(emd_module, "envelope", reference_spline_envelope)
+        monkeypatch.setattr(emd_module, "_mirrored_spline", reference_spline_envelope)
         ref = emd(Signal(x, 16000))
         assert fast.mode_count == ref.mode_count == 10
         assert fast.modes.tobytes() == ref.modes.tobytes()
