@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -45,14 +46,19 @@ def fork_map(fn, count: int) -> list:
     any call reaches the caller.  The calls run in the calling process on one
     usable core, where the platform lacks fork or sched_getaffinity, and where
     the caller runs other threads: a forked child can inherit a lock another
-    thread held, and then never gets it.
+    thread held, and then never gets it.  A worker that dies, killed by a
+    signal, ends the map with ChildProcessError, once every worker has gone.
     """
     workers = _workers(count)
     if workers <= 1:
         return list(map(fn, range(count)))
-    with ProcessPoolExecutor(workers, mp_context=FORK, initializer=_enter_worker,
-                             initargs=(fn,)) as pool:
-        return list(pool.map(_worker_call, range(count)))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=FORK, initializer=_enter_worker,
+                                 initargs=(fn,)) as pool:
+            return list(pool.map(_worker_call, range(count)))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError("a worker process died before its work was done, most likely "
+                                "killed by the out-of-memory killer") from exc
 
 
 def shared_zeros(shape: tuple) -> np.ndarray:

@@ -283,8 +283,13 @@ def eemd(signal: Signal, cfg: EemdConfig = EemdConfig(), score=None, scores=None
     With `score`, a function of one sequence, `scores` receives
     [score(input), score(mode 1), ...].  The same workers compute them: the
     input's first, then each averaged mode's as soon as the last trial has
-    added that mode, while the trials sift the modes after it.
+    added that mode, while the trials sift the modes after it.  Raises
+    ValueError, before any work, when only one of `score` and `scores` is
+    given, and ChildProcessError when a worker process dies, killed by a
+    signal (the out-of-memory killer, say).
     """
+    if (score is None) != (scores is None):
+        raise ValueError("score and scores go together: pass both or neither")
     if len(signal) < MIN_LENGTH:
         raise ValueError(f"signal too short to decompose (need >= {MIN_LENGTH} samples)")
     x = signal.samples

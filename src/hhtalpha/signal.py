@@ -142,6 +142,15 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     Dropping the block's leaving samples gives the next block's window.
     Memory is O(len(samples) + frame_len) whatever the overlap.  Raises
     ValueError for a rank that is not an integer in 0..frame_len-1.
+
+    Each index array has the dtype its consumer takes, so numpy converts
+    none of them per block.  The sample offsets are np.intp: they index the
+    scatter into `position`, and a narrower index array is copied to intp
+    on every fancy assignment.  The merged positions, the removed rows, the
+    ramp and the row lifts applied to them and the lifted ranks searched for
+    in them use `_index_dtype`, int32 below 2**31: the rows sort as int32,
+    and the in-place arithmetic and the binary search run without a casting
+    loop.
     """
     frames = extract_frames(samples, grid)
     count = len(frames)
@@ -160,10 +169,17 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
     # the last row of a block lifts its positions by (block - 1) * (n + 1)
     pos = _index_dtype((block + 1) * size)
     # the window, then the block's entering samples; offsets count from the window's start
-    values, offsets = np.empty(size), np.empty(size, dtype=pos)
-    merged, merged_offsets = np.empty(size), np.empty(size, dtype=pos)
+    values, offsets = np.empty(size), np.empty(size, dtype=np.intp)
+    merged, merged_offsets = np.empty(size), np.empty(size, dtype=np.intp)
     position = np.empty(size, dtype=pos)  # merged position of each sample offset
     keep = np.empty(size, dtype=bool)
+    ramp = np.arange(size, dtype=pos)
+    # row j of a block is lifted by j*(n+1), so the block searches as one
+    # ascending run, and reads the merged run j*width lower; the lifts and
+    # the queries are built once
+    row = np.arange(block)[:, np.newaxis]
+    lift = (row * (n + 1)).astype(pos)
+    queries = ranks.astype(pos) + lift
     offsets[:n] = np.argsort(frames[0], kind="stable")
     np.take(frames[0], offsets[:n], out=values[:n])
     out[0] = values[ranks]
@@ -181,22 +197,21 @@ def frame_order_stats(samples: np.ndarray, grid: FrameGrid, ranks) -> np.ndarray
         perm = np.argsort(values[:m], kind="stable")
         np.take(values[:m], perm, out=merged[:m])
         np.take(offsets[:m], perm, out=merged_offsets[:m])
-        position[merged_offsets[:m]] = np.arange(m, dtype=pos)
+        position[merged_offsets[:m]] = ramp[:m]
         # frame first+j lacks the window's first (j+1)*step samples and the
         # entering ones from (j+1)*step on: row j is one slice of the entering
         # samples' positions followed by the leaving ones'
         removed = np.concatenate((position[n:m], position[:width]))
         removed = np.sort(sliding_window_view(removed, width)[step::step], axis=1)
-        # the i-th removed position less i counts the kept values below it;
-        # row j is lifted by j*(n+1) so the block searches as one ascending run
-        row = np.arange(rows)[:, np.newaxis]
-        removed -= np.arange(width, dtype=pos)
-        removed += row * (n + 1)
-        below = np.searchsorted(removed.ravel(), ranks + row * (n + 1), side="right")
+        # the i-th removed position less i counts the kept values below it
+        removed -= ramp[:width]
+        removed += lift[:rows]
+        below = np.searchsorted(removed.ravel(), queries[:rows], side="right")
         # the kept value of rank r sits past the removed positions below it
-        out[first : first + rows] = merged[ranks + below - row * width]
-        keep[:m] = True
-        keep[position[:width]] = False
+        below += ranks - row[:rows] * width
+        out[first : first + rows] = merged[below]
+        # the samples at offsets below width leave with the block
+        np.greater_equal(merged_offsets[:m], width, out=keep[:m])
         np.compress(keep[:m], merged[:m], out=values[:n])
         np.compress(keep[:m], merged_offsets[:m], out=offsets[:n])
         offsets[:n] -= width

@@ -1,4 +1,8 @@
+import importlib
 import json
+import multiprocessing
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -7,7 +11,9 @@ import pytest
 from hhtalpha import EnhanceConfig, Signal, estimate_alpha, read_wav, write_wav
 from hhtalpha.cli import _enhance_config, build_parser, main
 
-from conftest import make_speech_proxy
+from conftest import make_speech_proxy, within
+
+emd_module = importlib.import_module("hhtalpha.emd")
 
 RATE = 16000
 
@@ -384,6 +390,30 @@ def test_allocation_refused_fails(tmp_path, clean_wav, capsys, args, message):
     assert run(command, *flags, *out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [clean_wav]
+
+
+@pytest.mark.parametrize("command", ["enhance", "alpha", "decompose"])
+def test_dead_worker_fails_in_one_line(tmp_path, clean_wav, capsys, monkeypatch, command):
+    # every trial a forked worker starts kills its own process, as the
+    # out-of-memory killer would; the parent never runs one
+    parent, original = os.getpid(), emd_module._sift_modes
+
+    def killed_modes(residual, max_modes):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(residual, max_modes)
+
+    monkeypatch.setattr(emd_module, "_sift_modes", killed_modes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = {"enhance": ("--out", tmp_path / "o.wav", "--profile", tmp_path / "p.csv"),
+           "alpha": ("--out", tmp_path / "p.csv"),
+           "decompose": ("--out-prefix", tmp_path / "p_")}[command]
+    with within(60):
+        assert run(command, "--in", clean_wav, "--ensemble", 4, *out) == 1
+    assert capsys.readouterr().err == ("error: a worker process died before its work was done, "
+                                       "most likely killed by the out-of-memory killer\n")
+    assert list(tmp_path.iterdir()) == [clean_wav]
+    assert multiprocessing.active_children() == []
 
 
 class TestEnhanceCommand:

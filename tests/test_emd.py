@@ -540,6 +540,15 @@ class TestEemd:
         with pytest.raises(ValueError, match="ensemble_size must be >= 1"):
             EemdConfig(ensemble_size=0)
 
+    @pytest.mark.parametrize("given", [{"score": np.std}, {"scores": []}])
+    def test_score_without_scores_rejected_before_any_work(self, monkeypatch, given):
+        def no_work(*args, **kwargs):
+            raise AssertionError("eemd sifted before it checked its arguments")
+
+        monkeypatch.setattr(emd_module, "fork_sum", no_work)
+        with pytest.raises(ValueError, match="score and scores go together"):
+            eemd(Signal(tone(50), 8000), EemdConfig(ensemble_size=2), **given)
+
     @pytest.mark.parametrize("name, value, message", [
         ("max_modes", 2.5, "max_modes must be a whole number, got 2.5"),
         ("ensemble_size", 2.5, "ensemble_size must be a whole number, got 2.5"),

@@ -470,6 +470,8 @@ class TestFrameOrderStats:
            seed=st.integers(0, 2**32 - 1))
     @example(layout=(2056, 512, 8, []), source="continuous", seed=0)  # full blocks of 16
     @example(layout=(2999, 512, 7, [3, 3]), source="tie_heavy", seed=1)  # short last block
+    # 15 frames: the only block is partial, 14 of 16
+    @example(layout=(120, 512, 8, []), source="continuous", seed=5)
     @example(layout=(3000, 512, 8, []), source="mixed_zeros", seed=2)
     @example(layout=(1000, 128, 128, []), source="mixed_zeros", seed=3)
     @example(layout=(0, 128, 32, []), source="continuous", seed=4)
