@@ -2,10 +2,12 @@
 
 Decomposes a noisy signal into oscillatory modes (ensemble empirical mode
 decomposition), scores every mode frame-by-frame with an alpha-stable
-impulsiveness index (`profile_alpha`), keeps per frame the modes up to the
-last one at or below an adaptive threshold (`enhance.apply_selection` returns
-the finished `AlphaProfile`), and overlap-adds the kept modes back
-(`reconstruct`).  Objective metrics (LLR, fwSNRseg, STOI) are included.
+impulsiveness index, keeps per frame the modes up to the last one at or
+below an adaptive threshold (`enhance.apply_selection` returns the finished
+`AlphaProfile`), and overlap-adds the kept modes back (`reconstruct`).
+`enhance` scores each mode on the decomposition's own workers;
+`profile_alpha` scores given modes with the same scorer in the calling
+process.  Objective metrics (LLR, fwSNRseg, STOI) are included.
 """
 
 from .emd import EemdConfig, ImfSet, eemd, emd, sift

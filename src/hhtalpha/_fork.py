@@ -1,5 +1,5 @@
-"""Process work behind one module: index maps on forked workers, one per
-usable core, and sums of their results in index order.  No other module
+"""Process work behind one module: sums of the rows each call yields, added
+in index order on forked workers, one per usable core.  No other module
 imports multiprocessing, mmap, threading or concurrent.futures (a test checks)."""
 
 import math
@@ -27,38 +27,19 @@ def _worker_call(i: int):
 
 
 # The fork start method's context; None where the platform lacks fork.
-FORK = (multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods() else None)
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 def _workers(count: int) -> int:
-    """How many workers `fork_map` forks for `count` calls; 1 runs them in
-    the calling process."""
-    if FORK is not None and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+    """How many workers `fork_sum` forks for `count` tasks, one per usable
+    core; 1 runs them in the calling process.  It is 1 on one usable core,
+    where the platform lacks fork or sched_getaffinity, and where the caller
+    runs other threads: a forked child can inherit a lock another thread
+    held, and then never gets it."""
+    if _FORK is not None and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         return min(len(os.sched_getaffinity(0)), count)
     return 1
-
-
-def fork_map(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)], computed on forked workers, one per usable
-    core and at most `count`.  The workers inherit `fn`, so it may be a
-    closure; only indices and results are pickled, and an exception raised by
-    any call reaches the caller.  The calls run in the calling process on one
-    usable core, where the platform lacks fork or sched_getaffinity, and where
-    the caller runs other threads: a forked child can inherit a lock another
-    thread held, and then never gets it.  A worker that dies, killed by a
-    signal, ends the map with ChildProcessError, once every worker has gone.
-    """
-    workers = _workers(count)
-    if workers <= 1:
-        return list(map(fn, range(count)))
-    try:
-        with ProcessPoolExecutor(workers, mp_context=FORK, initializer=_enter_worker,
-                                 initargs=(fn,)) as pool:
-            return list(pool.map(_worker_call, range(count)))
-    except BrokenProcessPool as exc:
-        raise ChildProcessError("a worker process died before its work was done, most likely "
-                                "killed by the out-of-memory killer") from exc
 
 
 def shared_zeros(shape: tuple) -> np.ndarray:
@@ -69,7 +50,7 @@ def shared_zeros(shape: tuple) -> np.ndarray:
 
 def fork_sum(fn, count: int, total: np.ndarray, then=None) -> tuple:
     """Add the rows each fn(i) yields into the leading rows of `total`, a
-    `shared_zeros` array, in index order, on `fork_map`'s workers.
+    `shared_zeros` array, in index order, on `_workers`' forked workers.
 
     Each row has its own turn: call i adds its row m once call i - 1 has
     added or passed row m.  So every row sums its calls in index order, and
@@ -83,9 +64,14 @@ def fork_sum(fn, count: int, total: np.ndarray, then=None) -> tuple:
     some call yielded; they start as soon as a worker is free, while the last
     calls still run.  Returns (the number of rows each call yielded,
     [then(-1), then(0), ...], empty without `then`).
+
+    The workers inherit `fn` and `then`, so they may be closures; only
+    indices and results are pickled, and an exception raised by `fn` or
+    `then` reaches the caller.  A worker that dies, killed by a signal, ends
+    the sum with ChildProcessError, once every worker has gone.
     """
     rows = len(total)
-    context = FORK or multiprocessing.get_context()  # shared across fork_map's forks
+    context = _FORK or multiprocessing.get_context()  # shared across the workers' forks
     # turns[m]: the calls that have added or passed row m; turns[rows]: the
     # most rows one call has yielded
     turns, cond = context.Array("q", rows + 1, lock=False), context.Condition()
@@ -151,6 +137,17 @@ def fork_sum(fn, count: int, total: np.ndarray, then=None) -> tuple:
 
     # a follow-up task claims rows until it finds one no call yielded, so the
     # task count does not grow with the rows left empty; one per worker
-    results = fork_map(task, count + (0 if then is None else _workers(rows + 1)))
+    tasks = range(count + (0 if then is None else _workers(rows + 1)))
+    workers = _workers(len(tasks))
+    if workers <= 1:
+        results = list(map(task, tasks))
+    else:
+        try:
+            with ProcessPoolExecutor(workers, mp_context=_FORK, initializer=_enter_worker,
+                                     initargs=(task,)) as pool:
+                results = list(pool.map(_worker_call, tasks))
+        except BrokenProcessPool as exc:
+            raise ChildProcessError("a worker process died before its work was done, most "
+                                    "likely killed by the out-of-memory killer") from exc
     scored = sorted((pair for pairs in results[count:] for pair in pairs), key=lambda p: p[0])
     return results[:count], [value for _, value in scored]

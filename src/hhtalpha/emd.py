@@ -44,8 +44,8 @@ class EemdConfig:
 class ImfSet:
     """Ordered oscillatory modes plus the leftover trend of one signal.
 
-    `modes` is a (mode_count, source_len) array, one mode per row, and
-    `residual` the source_len-long trend; the sample rate stays with the
+    `modes` is a (mode_count, length) array, one mode per row, and
+    `residual` the trend of the same length; the sample rate stays with the
     decomposed `Signal`.
     """
 
@@ -55,10 +55,6 @@ class ImfSet:
     def __post_init__(self):
         if np.ndim(self.modes) != 2 or np.shape(self.modes)[1] != len(self.residual):
             raise ValueError("modes must be a (mode_count, len(residual)) array")
-
-    @property
-    def source_len(self) -> int:
-        return len(self.residual)
 
     @property
     def mode_count(self) -> int:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fork import fork_map
 from .emd import EemdConfig, ImfSet, eemd
 from .signal import FrameGrid, Signal, frame_order_stats, overlap_add, whole_number
 from .stable import MIN_SAMPLES, alpha_from_nu, hazen_ranks, nu_from_order_stats
@@ -104,14 +103,13 @@ def profile_alpha(imfs: ImfSet, noisy: np.ndarray, grid: FrameGrid):
     noisy samples themselves; returns (per_mode, noisy), (frames x modes) and
     one value per frame.  Degenerate frames get the sentinel value 2.0.
 
-    Each sequence is scored by the scorer `enhance` hands to `eemd`, here
-    through `fork_map`; the output is bit-identical wherever it runs.
+    The sequences are scored in the calling process, by the scorer `enhance`
+    hands to `eemd` and assembled as `enhance` assembles them, so the bytes
+    equal `enhance`'s profile of the same modes.
     """
-    if imfs.source_len != len(noisy):
+    if len(imfs.residual) != len(noisy):
         raise ValueError("mode length does not match the noisy signal")
-    score = _frame_scorer(grid)
-    sequences = (noisy, *imfs.modes)
-    return _profile(fork_map(lambda i: score(sequences[i]), len(sequences)))
+    return _profile(list(map(_frame_scorer(grid), (noisy, *imfs.modes))))
 
 
 def apply_selection(per_mode, noisy, cfg: EnhanceConfig) -> AlphaProfile:
@@ -147,9 +145,9 @@ def enhance(noisy: Signal, cfg: EnhanceConfig = EnhanceConfig()):
     """Decompose, profile, select and reconstruct; returns (enhanced signal,
     AlphaProfile).
 
-    `eemd` gets the frame scorer of `profile_alpha`, so the one pool it forks
-    scores the input and each averaged mode as soon as that mode is final,
-    while its trials still sift the later modes.
+    `eemd` gets the frame scorer `profile_alpha` runs, so the one pool it
+    forks scores the input and each averaged mode as soon as that mode is
+    final, while its trials still sift the later modes.
     """
     if len(noisy) < cfg.frame_len // 4:
         raise ValueError("input shorter than a quarter frame; nothing to enhance")

@@ -20,7 +20,6 @@ from hhtalpha import (
     fwsnrseg,
     llr,
     map_intelligibility,
-    profile_alpha,
     reconstruct,
     sample_sas,
     stoi,
@@ -101,10 +100,9 @@ def test_05_alpha_trend_reproduction():
     clean = make_speech_proxy()
     noise = sample_sas(1.3, len(clean), 13)
     noisy = Signal(mix_at_snr(clean, noise, 0.0), RATE)
-    imfs = eemd(noisy)
-    grid = FrameGrid(10240, 128)
-    per_mode, _ = profile_alpha(imfs, noisy.samples, grid)
-    means = per_mode.mean(axis=0)
+    # the paper's defaults: 50-trial EEMD, 10240-sample frames, 128-sample step
+    _, profile = enhance(noisy)
+    means = profile.per_mode.mean(axis=0)
     low = means[:3].mean()
     high = means[6:10].mean()
     top = means[-3:].mean()

@@ -412,7 +412,7 @@ class TestImfSet:
 
     def test_no_modes_totals_to_the_residual(self):
         imfs = ImfSet(np.zeros((0, 100)), np.arange(100.0))
-        assert imfs.mode_count == 0 and imfs.source_len == 100
+        assert imfs.mode_count == 0 and len(imfs.residual) == 100
         np.testing.assert_array_equal(imfs.total(), np.arange(100.0))
 
 
@@ -785,19 +785,23 @@ def test_fork_sum_result_that_does_not_fit_reaches_caller(monkeypatch):
 
 def test_only_fork_module_imports_process_machinery():
     # which work runs in which process, and how results combine, is decided
-    # in _fork.py alone
+    # in _fork.py alone, and only emd.py, whose EEMD pool also runs enhance's
+    # profiling, calls it
     banned = {"multiprocessing", "mmap", "threading", "concurrent"}
     package = pathlib.Path(fork_module.__file__).parent
-    found = []
+    found, forking = set(), set()
     for path in sorted(package.rglob("*.py")):
         if path.name == "_fork.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] in banned]
-    assert found == []
+            found.update(f"{path.name}: {name}" for name in names if name.split(".")[0] in banned)
+            forking.update(path.name for name in names if "_fork" in name.split("."))
+    assert found == set()
+    assert forking == {"emd.py"}

@@ -206,10 +206,8 @@ class TestProfileAlpha:
         expected = quantile_profile(imfs, short.samples, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-    def test_memory_independent_of_frame_overlap(self, monkeypatch):
-        # 80 frames cover each sample; a frames matrix would take 80 x length.
-        # One core, so the sequences are scored where tracemalloc sees them.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    def test_memory_independent_of_frame_overlap(self):
+        # 80 frames cover each sample; a frames matrix would take 80 x length
         n, modes = 16000, 4
         imfs = random_imfs(np.random.default_rng(5), n, modes)
         noisy = imfs.total()
@@ -223,14 +221,10 @@ class TestProfileAlpha:
         assert peak <= 6 * (n + grid.frame_len) * 8
 
 
-class TestProfileOnAnyCoreCount:
-    """The 11 sequences (10 modes plus the noisy input) are scored on forked
-    workers; the bytes must not depend on how many."""
-
-    @staticmethod
-    def sequences():
-        imfs = random_imfs(np.random.default_rng(21), 4096, 10)
-        return imfs, imfs.total(), FrameGrid(1024, 128)
+class TestEnhanceStreamsModesIntoProfiling:
+    """`enhance` scores the input and each averaged mode on the EEMD workers,
+    each mode once the last trial has added it; the bytes must not depend on
+    how many workers there are or on which trial reaches a mode first."""
 
     @staticmethod
     def record_pools(monkeypatch, cpus):
@@ -243,105 +237,6 @@ class TestProfileOnAnyCoreCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(fork_module, "ProcessPoolExecutor", recording_pool)
         return pools
-
-    @pytest.mark.parametrize("cpus", [1, 2, 6])
-    def test_bit_equal_on_any_core_count(self, monkeypatch, cpus):
-        imfs, noisy, grid = self.sequences()
-        pools = self.record_pools(monkeypatch, cpus)
-        with within(60):
-            got = profile_alpha(imfs, noisy, grid)
-        assert pools == ([cpus] if cpus > 1 else [])
-        expected = quantile_profile(imfs, noisy, grid)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-        assert multiprocessing.active_children() == []
-
-    def test_enhance_forks_eemd_and_profiling(self, monkeypatch, noisy_pair):
-        _, noisy = noisy_pair
-        short = Signal(noisy.samples[:8192], noisy.sample_rate)
-        self.record_pools(monkeypatch, 1)
-        serial_out, serial_profile = enhance(short, small_cfg())
-        serial_imfs = eemd(short, small_cfg().eemd)
-        pools = self.record_pools(monkeypatch, 2)
-        with within(60):
-            out, profile = enhance(short, small_cfg())
-            # one pool for the EEMD trials and the profiling, none for the
-            # reconstruction
-            assert pools == [2]
-            imfs = eemd(short, small_cfg().eemd)
-        assert imfs.modes.tobytes() == serial_imfs.modes.tobytes()
-        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
-            assert getattr(profile, name).tobytes() == getattr(serial_profile, name).tobytes()
-        assert out.samples.tobytes() == serial_out.samples.tobytes()
-        assert multiprocessing.active_children() == []
-
-    def test_no_fork_platform_runs_both_stages_in_process(self, monkeypatch, noisy_pair):
-        _, noisy = noisy_pair
-        short = Signal(noisy.samples[:8192], noisy.sample_rate)
-        pools = self.record_pools(monkeypatch, 2)
-        with within(60):
-            forked_out, forked_profile = enhance(short, small_cfg())
-            assert pools == [2]
-            forked_imfs = eemd(short, small_cfg().eemd)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a platform without fork must not start a pool")
-
-        monkeypatch.setattr(fork_module, "FORK", None)
-        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
-        out, profile = enhance(short, small_cfg())
-        imfs = eemd(short, small_cfg().eemd)
-        assert imfs.modes.tobytes() == forked_imfs.modes.tobytes()
-        assert imfs.residual.tobytes() == forked_imfs.residual.tobytes()
-        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
-            assert getattr(profile, name).tobytes() == getattr(forked_profile, name).tobytes()
-        assert out.samples.tobytes() == forked_out.samples.tobytes()
-        assert multiprocessing.active_children() == []
-
-    def test_threaded_caller_profiles_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a caller with threads must not fork")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
-        imfs, noisy, grid = self.sequences()
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            got = profile_alpha(imfs, noisy, grid)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        expected = quantile_profile(imfs, noisy, grid)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_failing_sequence_reaches_caller(self, monkeypatch, cpus):
-        # forked workers inherit the patch; only mode 4's scoring raises
-        imfs, noisy, grid = self.sequences()
-        original = enhance_module.frame_order_stats
-
-        def failing_order_stats(samples, grid, ranks):
-            if np.array_equal(samples, imfs.modes[3]):
-                raise RuntimeError("scoring failed")
-            return original(samples, grid, ranks)
-
-        self.record_pools(monkeypatch, cpus)
-        monkeypatch.setattr(enhance_module, "frame_order_stats", failing_order_stats)
-        with within(60):
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                profile_alpha(imfs, noisy, grid)
-        assert multiprocessing.active_children() == []
-
-
-class TestEnhanceStreamsModesIntoProfiling:
-    """`enhance` scores the input and each averaged mode on the EEMD workers,
-    each mode once the last trial has added it; the bytes must not depend on
-    how many workers there are or on which trial reaches a mode first."""
-
-    record_pools = staticmethod(TestProfileOnAnyCoreCount.record_pools)
 
     @staticmethod
     def short(noisy_pair):
@@ -372,6 +267,62 @@ class TestEnhanceStreamsModesIntoProfiling:
         imfs = (decompose or eemd)(signal, cfg.eemd)
         grid = FrameGrid(cfg.frame_len, cfg.step)
         return imfs.modes, imfs.residual, quantile_profile(imfs, signal.samples, grid)
+
+    def test_enhance_forks_eemd_and_profiling(self, monkeypatch, noisy_pair):
+        short = self.short(noisy_pair)
+        self.record_pools(monkeypatch, 1)
+        serial_out, serial_profile = enhance(short, small_cfg())
+        serial_imfs = eemd(short, small_cfg().eemd)
+        pools = self.record_pools(monkeypatch, 2)
+        with within(60):
+            out, profile = enhance(short, small_cfg())
+            # one pool for the EEMD trials and the profiling, none for the
+            # reconstruction
+            assert pools == [2]
+            imfs = eemd(short, small_cfg().eemd)
+        assert imfs.modes.tobytes() == serial_imfs.modes.tobytes()
+        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
+            assert getattr(profile, name).tobytes() == getattr(serial_profile, name).tobytes()
+        assert out.samples.tobytes() == serial_out.samples.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_platform_runs_both_stages_in_process(self, monkeypatch, noisy_pair):
+        short = self.short(noisy_pair)
+        pools = self.record_pools(monkeypatch, 2)
+        with within(60):
+            forked_out, forked_profile = enhance(short, small_cfg())
+            assert pools == [2]
+            forked_imfs = eemd(short, small_cfg().eemd)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a platform without fork must not start a pool")
+
+        monkeypatch.setattr(fork_module, "_FORK", None)
+        monkeypatch.setattr(fork_module, "ProcessPoolExecutor", no_pool)
+        out, profile = enhance(short, small_cfg())
+        imfs = eemd(short, small_cfg().eemd)
+        assert imfs.modes.tobytes() == forked_imfs.modes.tobytes()
+        assert imfs.residual.tobytes() == forked_imfs.residual.tobytes()
+        for name in ("per_mode", "noisy", "thresholds", "cut_index"):
+            assert getattr(profile, name).tobytes() == getattr(forked_profile, name).tobytes()
+        assert out.samples.tobytes() == forked_out.samples.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_profile_alpha_equals_enhance_without_a_pool(self, monkeypatch, noisy_pair):
+        # profile_alpha runs enhance's scorer and assembly in the calling
+        # process: the same bytes, and no pool beside eemd's own
+        short, cfg = self.short(noisy_pair), small_cfg()
+        pools = self.record_pools(monkeypatch, 2)
+        with within(60):
+            _, profile = enhance(short, cfg)
+            imfs = eemd(short, cfg.eemd)
+            assert pools == [2, 2]
+            per_mode, noisy_alphas = profile_alpha(imfs, short.samples,
+                                                   FrameGrid(cfg.frame_len, cfg.step))
+        assert pools == [2, 2]
+        assert per_mode.tobytes() == profile.per_mode.tobytes()
+        assert noisy_alphas.tobytes() == profile.noisy.tobytes()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 6])
     def test_stalled_trial_changes_no_byte(self, monkeypatch, noisy_pair, cpus):
@@ -479,7 +430,7 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
     """Reference reconstruction: materialise every windowed frame of the kept
     mode prefix in a (frames x frame_len) matrix, then overlap-add the rows."""
     prefix = np.cumsum(imfs.modes, axis=0)
-    count = grid.count(imfs.source_len)
+    count = grid.count(len(imfs.residual))
     frames = np.zeros((count, grid.frame_len))
     for q in range(count):
         z = int(cut_index[q])
@@ -499,7 +450,7 @@ def frames_matrix_reconstruct(imfs, cut_index, grid, window):
     covered = overlap > 0
     out = np.zeros(ext)
     out[covered] = acc[covered] / overlap[covered]
-    return out[: imfs.source_len]
+    return out[: len(imfs.residual)]
 
 
 def random_imfs(rng, n, modes):
